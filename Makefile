@@ -4,9 +4,9 @@ GO ?= go
 # Label naming the machine-readable benchmark report (BENCH_<label>.json).
 BENCH_LABEL ?= local
 
-.PHONY: check fmt vet build test race lint chaos load fleet bench bench-json bench-gate
+.PHONY: check fmt vet build test race lint chaos load fleet bench-module bench bench-json bench-gate
 
-check: fmt vet lint build race chaos load fleet
+check: fmt vet lint build race chaos load fleet bench-module
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -52,6 +52,13 @@ load:
 fleet:
 	$(GO) run ./cmd/fedsc-fleet -check
 
+# bench/ is its own Go module (the layered benchmark behind
+# BENCHMARK.json): it compiles against the exported APIs it measures,
+# and its schema and replay tests run only here.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 bench:
 	$(GO) test -bench=. -benchmem
 
@@ -60,13 +67,13 @@ bench:
 bench-json:
 	$(GO) run ./cmd/fedsc-bench -json -label $(BENCH_LABEL)
 
-# Baseline report the regression gate compares against (the latest
-# committed BENCH_<label>.json), and the allowed fractional ns/op growth.
+# Baseline report the regression gate compares against (the newest
+# committed BENCH_pr<N>.json), and the allowed fractional ns/op growth.
 # 15% is right for same-machine comparisons; CI runners differ from the
 # machine that recorded the baseline, so ci.yml passes a looser 0.5 —
 # the gate there catches algorithmic blowups, not percent-level drift
 # (see DESIGN.md on cross-environment benchmark drift).
-BENCH_BASELINE ?= BENCH_pr8.json
+BENCH_BASELINE ?= $(shell ls BENCH_pr*.json | sort -V | tail -n 1)
 BENCH_TOLERANCE ?= 0.15
 
 # Re-measure the tracked kernels and fail if any regressed beyond

@@ -186,12 +186,8 @@ func runSchedule(name string, cfg config, devices []*mat.Dense) outcome {
 		go func(dev int) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(mixSeed(cfg.seed, dev)))
-			run := fednet.RunClientDialer
-			if sched.Script(dev).Duplicate {
-				run = fednet.RunClientDuplicate
-			}
-			res, err := run(sched.Dialer(dev, dial), dev, devices[dev],
-				core.LocalOptions{UseEigengap: true}, policy, rng)
+			res, err := fednet.RunClientDialerWire(sched.Dialer(dev, dial), dev, devices[dev],
+				core.LocalOptions{UseEigengap: true}, policy, fednet.WireOptions{}, rng)
 			out.Labels[dev] = res.Labels
 			out.Attempts[dev] = res.Attempts
 			if err != nil {

@@ -66,8 +66,9 @@ func main() {
 		return
 	}
 
-	res, err := fednet.DialAndRun(*addr, *id, ds.X,
-		core.LocalOptions{UseEigengap: true}, local)
+	res, err := fednet.RunClientDialerWire(func() (net.Conn, error) {
+		return net.Dial("tcp", *addr)
+	}, *id, ds.X, core.LocalOptions{UseEigengap: true}, fednet.RetryPolicy{}, fednet.WireOptions{}, local)
 	if err != nil {
 		log.Fatalf("fedsc-client: %v", err)
 	}

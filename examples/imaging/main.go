@@ -75,8 +75,9 @@ func main() {
 		go func(c int) {
 			defer cw.Done()
 			crng := rand.New(rand.NewSource(int64(100 + c)))
-			res, err := fednet.DialAndRun(ln.Addr().String(), c, devices[c],
-				core.LocalOptions{RMax: 4, UseEigengap: false, TargetDim: 1}, crng)
+			dial := func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) }
+			res, err := fednet.RunClientDialerWire(dial, c, devices[c],
+				core.LocalOptions{RMax: 4, UseEigengap: false, TargetDim: 1}, fednet.RetryPolicy{}, fednet.WireOptions{}, crng)
 			if err != nil {
 				log.Fatalf("camera %d: %v", c, err)
 			}

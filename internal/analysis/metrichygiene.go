@@ -16,7 +16,7 @@ import (
 // flagged:
 //
 //   - a registration call lexically inside a for/range body — hoist it
-//     above the loop (the RunClientDialer retry-loop shape);
+//     above the loop (the fednet client retry-loop shape);
 //   - a registration call inside a function that receives an
 //     *http.Request — per-request paths must capture instruments built
 //     at construction time.

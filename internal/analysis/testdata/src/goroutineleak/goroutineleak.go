@@ -3,7 +3,7 @@
 // negative cases carry one of the sanctioned proofs (ctx.Done,
 // done-channel receive, WaitGroup pairing, or a channel handoff the
 // spawner drains). BadDrainFireAndForget reproduces the live bug this
-// rule first caught in fednet.RunClientDuplicate; BadParamChannelSend
+// rule first caught in fednet's former duplicate client; BadParamChannelSend
 // reproduces the obs.ServeDebug errCh shape.
 package goroutineleak
 
@@ -16,7 +16,7 @@ import (
 
 func work() {}
 
-// BadDrainFireAndForget is the RunClientDuplicate drain bug: the
+// BadDrainFireAndForget is the former duplicate client's drain bug: the
 // goroutine blocks in Decode with nothing committed to unblocking it.
 func BadDrainFireAndForget(conn net.Conn) {
 	go func() {
@@ -118,7 +118,7 @@ func GoodDrainedHandoff(run func() int) int {
 	return <-results
 }
 
-// GoodClosedDrain is the RunClientDuplicate fix shape: the goroutine
+// GoodClosedDrain is that client's fix shape: the goroutine
 // closes a channel the spawner joins on.
 func GoodClosedDrain(conn net.Conn) {
 	drained := make(chan struct{})

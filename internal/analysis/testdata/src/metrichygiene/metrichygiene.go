@@ -3,7 +3,7 @@
 // feed a CounterVec label from derived string data; negative cases
 // register once at construction time and label from bounded sets.
 // BadRetryLoop reproduces the live bug this rule caught in
-// fednet.RunClientDialer.
+// the fednet client retry loop.
 package metrichygiene
 
 import (
@@ -14,7 +14,7 @@ import (
 	"fedsc/internal/obs"
 )
 
-// BadRetryLoop is the RunClientDialer shape: per-attempt registration
+// BadRetryLoop is the client retry-loop shape: per-attempt registration
 // takes the registry mutex every iteration of the retry storm.
 func BadRetryLoop(reg *obs.Registry, attempts int) {
 	for attempt := 1; attempt <= attempts; attempt++ {

@@ -3,8 +3,8 @@
 // failure: Conn and Listener wrap any net.Conn / net.Listener and
 // inject latency with jitter, bandwidth caps, chunked partial writes,
 // connection resets at exact byte offsets, mid-upload stalls and
-// black-holes, and accept-time refusals, all scripted per device and
-// per connection attempt by a Schedule.
+// black-holes, accept-time refusals, and duplicate uploads, all
+// scripted per device and per connection attempt by a Schedule.
 //
 // Every random decision (jitter draws) flows through a *rand.Rand
 // derived from (Schedule.Seed, device, attempt) with a splitmix64
@@ -28,6 +28,10 @@ import (
 // is refused before any byte flows (the deterministic analogue of
 // ECONNREFUSED).
 var ErrRefused = errors.New("chaos: connection refused by schedule")
+
+// ErrDuplicate fails the reply read of a connection whose upload a
+// Duplicate script withheld.
+var ErrDuplicate = errors.New("chaos: reply withheld for a duplicate upload")
 
 // ErrReset is returned by a Conn whose write direction was cut at the
 // scripted byte offset (the deterministic analogue of ECONNRESET).
@@ -79,10 +83,13 @@ type Script struct {
 	// never recovers).
 	FailAttempts int
 
-	// Duplicate marks the device for a duplicate late connect: after
-	// its successful exchange the harness replays the identical upload
-	// on a fresh connection, exercising the server's dedup table. The
-	// transport itself ignores the flag.
+	// Duplicate scripts a duplicate late connect, the adversarial
+	// counterpart of a retry, on every other connection of the device:
+	// it withholds the client's upload and fails the reply read with
+	// ErrDuplicate, so the client retries on the next connection. Once
+	// that one read its hello (its first write), the withheld upload goes
+	// out too: both land in the same round, and the server's dedup must
+	// keep the higher attempt. Conn.Close tells how the pair winds down.
 	Duplicate bool
 }
 
@@ -123,6 +130,9 @@ type Schedule struct {
 
 	mu       sync.Mutex
 	attempts map[int]int
+	// held maps a Duplicate device to the pair its next connection
+	// releases.
+	held map[int]*dupPair
 }
 
 // Script returns the fault program of device.
@@ -161,15 +171,31 @@ func (s *Schedule) Wrap(device, attempt int, dial func() (net.Conn, error)) (net
 	if err != nil {
 		return nil, err
 	}
-	return newConn(inner, sc, failing, device, attempt,
-		rand.New(rand.NewSource(mix64(s.Seed, int64(device)<<20+int64(attempt)))), s.Trace), nil
+	c := newConn(inner, sc, failing, device, attempt,
+		rand.New(rand.NewSource(mix64(s.Seed, int64(device)<<20+int64(attempt)))), s.Trace)
+	if sc.Duplicate {
+		s.mu.Lock()
+		if c.frees = s.held[device]; c.frees != nil {
+			delete(s.held, device)
+		} else {
+			c.holds = &dupPair{release: make(chan struct{}), drained: make(chan struct{})}
+			if s.held == nil {
+				s.held = make(map[int]*dupPair)
+			}
+			s.held[device] = c.holds
+		}
+		s.mu.Unlock()
+	}
+	return c, nil
 }
 
-// ResetAttempts forgets the per-device attempt counters so the same
-// Schedule value can drive a second, identical run.
+// ResetAttempts forgets the per-device attempt counters and any
+// unreleased duplicate, so the same Schedule value can drive a second,
+// identical run.
 func (s *Schedule) ResetAttempts() {
 	s.mu.Lock()
 	s.attempts = nil
+	s.held = nil
 	s.mu.Unlock()
 }
 

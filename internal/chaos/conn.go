@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -27,8 +28,12 @@ type Conn struct {
 	device  int
 	attempt int
 	trace   *Trace
+	// A Duplicate script pairs a connection that holds back its upload
+	// with the next one, which frees it.
+	holds, frees *dupPair
 
 	mu           sync.Mutex
+	held         []byte
 	rng          *rand.Rand
 	wrote        int64
 	read         int64
@@ -39,6 +44,13 @@ type Conn struct {
 
 	closeOnce sync.Once
 	closed    chan struct{}
+}
+
+// dupPair links a withheld upload to the connection that frees it.
+type dupPair struct {
+	once    sync.Once
+	release chan struct{} // closed by the freeing connection
+	drained chan struct{} // closed once the holding one is done
 }
 
 func newConn(inner net.Conn, script Script, failing bool, device, attempt int, rng *rand.Rand, trace *Trace) *Conn {
@@ -98,11 +110,16 @@ func (c *Conn) stall(deadline time.Time) error {
 // latency; a black-holed connection never yields a byte.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
+	withheld := len(c.held) > 0
 	first := !c.readLatency
 	c.readLatency = true
 	blackhole := c.script.Blackhole && c.failing
 	dl := c.readDL
 	c.mu.Unlock()
+	if withheld {
+		c.trace.Record(c.device, "attempt %d: reply read failed, upload withheld", c.attempt)
+		return 0, ErrDuplicate
+	}
 	if blackhole {
 		c.trace.Record(c.device, "attempt %d: read black-holed", c.attempt)
 		return 0, c.stall(dl)
@@ -142,6 +159,14 @@ func (c *Conn) Read(p []byte) (int, error) {
 // sleep per chunk, and — on failing attempts — a reset or stall at
 // the exact scripted byte offset.
 func (c *Conn) Write(p []byte) (int, error) {
+	if c.frees != nil {
+		// The client writes only after reading its hello, so the
+		// withheld upload now lands in the same round.
+		c.frees.once.Do(func() {
+			c.trace.Record(c.device, "attempt %d: released the withheld upload", c.attempt)
+			close(c.frees.release)
+		})
+	}
 	c.mu.Lock()
 	first := !c.writeLatency
 	c.writeLatency = true
@@ -157,6 +182,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 			c.trace.Record(c.device, "attempt %d: write latency %v", c.attempt, d)
 			time.Sleep(d)
 		}
+	}
+	if c.holds != nil {
+		c.mu.Lock()
+		c.held = append(c.held, p...)
+		c.mu.Unlock()
+		return len(p), nil
 	}
 	written := 0
 	for written < len(p) {
@@ -240,18 +271,64 @@ func (c *Conn) addWritten(n int) {
 }
 
 // Close closes the wrapped conn and wakes any scripted stall.
+//
+// A connection with a withheld upload stays open underneath: a drain
+// goroutine sends the upload once the next connection frees it, reads
+// the server's reply until the server closes or the caller's read
+// deadline passes, and only then closes the wrapped conn — so the
+// server always writes its whole reply, and the bytes it accounts do
+// not depend on timing. Closing the freeing connection joins the drain.
 func (c *Conn) Close() error {
 	err := net.ErrClosed
 	first := false
 	c.closeOnce.Do(func() {
 		close(c.closed)
-		err = c.inner.Close()
 		first = true
+		if c.holds != nil {
+			go c.drain()
+			err = nil
+			return
+		}
+		err = c.inner.Close()
 	})
 	if !first {
 		return net.ErrClosed
 	}
+	if c.frees != nil {
+		c.frees.once.Do(func() { close(c.frees.release) })
+		<-c.frees.drained
+	}
 	return err
+}
+
+// drain finishes a holding connection after its client let go.
+func (c *Conn) drain() {
+	defer close(c.holds.drained)
+	c.mu.Lock()
+	held, readDL, writeDL := c.held, c.readDL, c.writeDL
+	c.mu.Unlock()
+	if len(held) == 0 {
+		_ = c.inner.Close() // nothing withheld: nothing to send or drain
+		return
+	}
+	var expire <-chan time.Time
+	if !readDL.IsZero() {
+		t := time.NewTimer(time.Until(readDL))
+		defer t.Stop()
+		expire = t.C
+	}
+	select {
+	case <-c.holds.release:
+		// The caller's own budgets still bound the upload and the reply
+		// read, whose content (superseded) is known.
+		if c.inner.SetWriteDeadline(writeDL) == nil && c.inner.SetReadDeadline(readDL) == nil {
+			if _, err := c.inner.Write(held); err == nil {
+				_, _ = io.Copy(io.Discard, c.inner)
+			}
+		}
+	case <-expire:
+	}
+	_ = c.inner.Close() // the pair is done; nothing acts on the error
 }
 
 func (c *Conn) LocalAddr() net.Addr  { return c.inner.LocalAddr() }

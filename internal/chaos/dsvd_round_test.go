@@ -111,13 +111,9 @@ func runDSVDChaosSolve(t *testing.T, seed int64, opts dsvd.Options) dsvdOutcome 
 		go func(dev int) {
 			defer cw.Done()
 			dial := sched.Dialer(dev, pn.Dial)
+			rng := rand.New(rand.NewSource(int64(1000 + dev)))
 			var err error
-			if sched.Script(dev).Duplicate {
-				out.Client[dev], err = fednet.RunDSVDClientDuplicate(dial, dev, blocks[dev], policy, fednet.WireOptions{})
-			} else {
-				rng := rand.New(rand.NewSource(int64(1000 + dev)))
-				out.Client[dev], err = fednet.RunDSVDClient(dial, dev, blocks[dev], policy, fednet.WireOptions{}, rng)
-			}
+			out.Client[dev], err = fednet.RunDSVDClient(dial, dev, blocks[dev], policy, fednet.WireOptions{}, rng)
 			if err != nil {
 				out.Errs[dev] = err.Error()
 			}

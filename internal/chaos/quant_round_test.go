@@ -68,11 +68,7 @@ func runQuantChaosRound(t *testing.T, seed int64) roundOutcome {
 		go func(dev int) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + dev)))
-			run := fednet.RunClientDialerWire
-			if sched.Script(dev).Duplicate {
-				run = fednet.RunClientDuplicateWire
-			}
-			res, err := run(sched.Dialer(dev, pn.Dial), dev, devices[dev],
+			res, err := fednet.RunClientDialerWire(sched.Dialer(dev, pn.Dial), dev, devices[dev],
 				core.LocalOptions{UseEigengap: true}, policy, wire, rng)
 			out.Labels[dev] = res.Labels
 			out.Attempts[dev] = res.Attempts

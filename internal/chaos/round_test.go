@@ -74,8 +74,8 @@ func runChaosRound(t *testing.T, sched *chaos.Schedule, devices []*mat.Dense,
 		go func(dev int) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + dev)))
-			res, err := fednet.RunClientDialer(sched.Dialer(dev, dial), dev, devices[dev],
-				core.LocalOptions{UseEigengap: true}, policy, rng)
+			res, err := fednet.RunClientDialerWire(sched.Dialer(dev, dial), dev, devices[dev],
+				core.LocalOptions{UseEigengap: true}, policy, fednet.WireOptions{}, rng)
 			out.Labels[dev] = res.Labels
 			out.Attempts[dev] = res.Attempts
 			if err != nil {

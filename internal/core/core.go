@@ -171,6 +171,34 @@ type LocalResult struct {
 // R returns the number of local clusters r⁽ᶻ⁾.
 func (lr LocalResult) R() int { return len(lr.Partitions) }
 
+// Relabel is the Phase 3 local update on one device: local cluster t
+// takes the majority server label over its spc samples' assignments,
+// and each of the device's points inherits its cluster's label. It
+// returns the per-point labels and the per-cluster labels τ⁽ᶻ⁾.
+func (lr LocalResult) Relabel(assignments []int, spc, points int) (labels, clusterLabels []int) {
+	labels = make([]int, points)
+	clusterLabels = make([]int, lr.R())
+	for t, idx := range lr.Partitions {
+		votes := make(map[int]int, spc)
+		for s := 0; s < spc; s++ {
+			votes[assignments[t*spc+s]]++
+		}
+		best, bestN := 0, -1
+		for lab, n := range votes {
+			// Lowest label wins ties so the majority vote never depends
+			// on map iteration order.
+			if n > bestN || (n == bestN && lab < best) {
+				best, bestN = lab, n
+			}
+		}
+		clusterLabels[t] = best
+		for _, i := range idx {
+			labels[i] = best
+		}
+	}
+	return labels, clusterLabels
+}
+
 // Result is the outcome of a full Fed-SC run.
 type Result struct {
 	// Labels[z][i] is the global cluster in [0, L) of point i on device z.

@@ -130,30 +130,7 @@ func aggregate(parent *obs.Span, devices []*mat.Dense, locals []LocalResult, l i
 		res.RPerDevice[dev] = r
 		res.LocalTime[dev] = lr.Elapsed
 		sumR += r
-		tau := make([]int, r)
-		for t := 0; t < r; t++ {
-			votes := make(map[int]int, spc)
-			for s := 0; s < spc; s++ {
-				votes[central.Labels[offsets[dev]+t*spc+s]]++
-			}
-			best, bestN := 0, -1
-			for lab, n := range votes {
-				// Lowest label wins ties so the majority vote never
-				// depends on map iteration order.
-				if n > bestN || (n == bestN && lab < best) {
-					best, bestN = lab, n
-				}
-			}
-			tau[t] = best
-		}
-		res.SampleLabels[dev] = tau
-		labels := make([]int, devices[dev].Cols())
-		for t, idx := range lr.Partitions {
-			for _, i := range idx {
-				labels[i] = tau[t]
-			}
-		}
-		res.Labels[dev] = labels
+		res.Labels[dev], res.SampleLabels[dev] = lr.Relabel(central.Labels[offsets[dev]:], spc, devices[dev].Cols())
 	}
 	phase3.End()
 	// Communication accounting (Section IV-E). The shared ambient

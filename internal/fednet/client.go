@@ -13,13 +13,11 @@ import (
 	"fedsc/internal/obs"
 )
 
-// IOTimeout bounds each network operation of the client protocol: the
-// hello read, the upload write, and the reply read each get this
-// budget. The reply wait covers the server-side central clustering, so
-// the default is generous. Non-positive means no deadline — the
-// pre-deadline behaviour, which risks blocking forever on a hung
-// server. RetryPolicy.Timeout overrides it per attempt.
-var IOTimeout = 2 * time.Minute
+// ioTimeout bounds each network operation of the client protocol when
+// the RetryPolicy sets no budget: the hello read, the upload write, and
+// the reply read each get it. The reply wait covers the server-side
+// central clustering, so the default is generous.
+const ioTimeout = 2 * time.Minute
 
 // ClientResult is the outcome of one device's participation in a round.
 type ClientResult struct {
@@ -58,8 +56,8 @@ type RetryPolicy struct {
 	// that all lost the same server. Values outside [0, 1] are clamped.
 	Jitter float64
 	// Timeout bounds each point-to-point operation of an attempt (the
-	// hello read and the upload write); zero falls back to the
-	// package-level IOTimeout.
+	// hello read and the upload write); zero falls back to two minutes,
+	// and a negative value means no deadline.
 	Timeout time.Duration
 	// ReplyTimeout bounds the final read separately: the reply arrives
 	// only once the server has collected every expected device, so this
@@ -67,14 +65,8 @@ type RetryPolicy struct {
 	// — far longer than a point-to-point exchange. A Timeout-sized
 	// reply budget would make every punctual device abandon its live
 	// connection the moment one slow peer exhausts that same Timeout.
-	// Zero falls back to Timeout, then IOTimeout.
+	// Zero falls back to Timeout, then to two minutes.
 	ReplyTimeout time.Duration
-}
-
-// DefaultRetryPolicy is the recommended client tolerance: four
-// attempts, 50ms base backoff doubling to at most 2s, ±30% jitter.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.3}
 }
 
 func (p RetryPolicy) attempts() int {
@@ -115,255 +107,148 @@ func (p RetryPolicy) Backoff(attempt int, rng *rand.Rand) time.Duration {
 	return time.Duration(float64(d) * scale)
 }
 
-// ioDeadline converts a per-operation budget into an absolute
-// deadline; the zero time explicitly clears any previous deadline.
-func (p RetryPolicy) ioDeadline() time.Time {
-	t := p.Timeout
-	if t == 0 {
-		t = IOTimeout
-	}
-	if t <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(t)
-}
+// ioDeadline is the absolute deadline of one point-to-point operation.
+func (p RetryPolicy) ioDeadline() time.Time { return deadline(p.Timeout) }
 
-// replyDeadline is ioDeadline for the round-spanning reply wait.
+// replyDeadline is the deadline of the round-spanning reply wait.
 func (p RetryPolicy) replyDeadline() time.Time {
-	t := p.ReplyTimeout
-	if t == 0 {
-		t = p.Timeout
+	if p.ReplyTimeout != 0 {
+		return deadline(p.ReplyTimeout)
 	}
+	return p.ioDeadline()
+}
+
+// deadline turns a budget into an absolute deadline: zero means
+// ioTimeout, and a negative budget the zero time, which explicitly
+// clears any previous deadline.
+func deadline(t time.Duration) time.Time {
 	if t == 0 {
-		t = IOTimeout
+		t = ioTimeout
 	}
-	if t <= 0 {
+	if t < 0 {
 		return time.Time{}
 	}
 	return time.Now().Add(t)
 }
 
-// exchange runs one wire exchange — hello, upload (echoing the hello's
-// round nonce, encoded with the codec negotiated from the hello's
-// advertisement), reply — on an established connection and closes it.
-func exchange(conn net.Conn, deviceID int, upload SampleUpload, wire WireOptions, policy RetryPolicy) (AssignmentReply, error) {
-	// The protocol is one-shot: a Close error after a complete exchange
-	// changes nothing the client can act on.
+// rejection returns the server's rejection of the upload, if any.
+func (r AssignmentReply) rejection() string { return r.Err }
+
+// rejection returns the server's rejection of the upload, if any.
+func (r DSVDReply) rejection() string { return r.Err }
+
+// exchange runs one attempt of either protocol on conn and closes it:
+// read the hello H, send the upload derived from it (stamped with the
+// attempt number), read the reply R. A reply carrying a server
+// rejection comes back as a rejectionError.
+func exchange[H any, R interface{ rejection() string }](conn net.Conn, deviceID, attempt int, policy RetryPolicy, upload func(H) (SampleUpload, error)) (R, error) {
+	var hello H
+	var reply R
+	// Each exchange is one-shot: a Close error after a complete
+	// exchange changes nothing the client can act on.
 	defer func() { _ = conn.Close() }()
 	if err := conn.SetReadDeadline(policy.ioDeadline()); err != nil {
-		return AssignmentReply{}, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
+		return reply, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
 	}
-	var hello RoundHello
-	if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
-		return AssignmentReply{}, fmt.Errorf("fednet: device %d round hello: %w", deviceID, err)
+	dec := gob.NewDecoder(conn)
+	if err := dec.Decode(&hello); err != nil {
+		return reply, fmt.Errorf("fednet: device %d hello: %w", deviceID, err)
 	}
-	upload.Nonce = hello.Nonce
-	upload, err := encodeWire(upload, wire, hello.Codecs)
+	up, err := upload(hello)
 	if err != nil {
-		return AssignmentReply{}, err
+		return reply, err
 	}
+	up.Attempt = attempt
 	if err := conn.SetWriteDeadline(policy.ioDeadline()); err != nil {
-		return AssignmentReply{}, fmt.Errorf("fednet: device %d set write deadline: %w", deviceID, err)
+		return reply, fmt.Errorf("fednet: device %d set write deadline: %w", deviceID, err)
 	}
-	if err := gob.NewEncoder(conn).Encode(upload); err != nil {
-		return AssignmentReply{}, fmt.Errorf("fednet: device %d upload: %w", deviceID, err)
+	if err := gob.NewEncoder(conn).Encode(up); err != nil {
+		return reply, fmt.Errorf("fednet: device %d upload: %w", deviceID, err)
 	}
 	if err := conn.SetReadDeadline(policy.replyDeadline()); err != nil {
-		return AssignmentReply{}, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
+		return reply, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
 	}
-	var reply AssignmentReply
-	if err := gob.NewDecoder(conn).Decode(&reply); err != nil {
-		return AssignmentReply{}, fmt.Errorf("fednet: device %d reply: %w", deviceID, err)
+	if err := dec.Decode(&reply); err != nil {
+		return reply, fmt.Errorf("fednet: device %d reply: %w", deviceID, err)
 	}
-	if reply.Err != "" {
-		return AssignmentReply{}, rejectionError{msg: fmt.Sprintf("fednet: device %d rejected by server: %s", deviceID, reply.Err)}
+	if msg := reply.rejection(); msg != "" {
+		return reply, rejectionError{msg: fmt.Sprintf("fednet: device %d rejected by server: %s", deviceID, msg)}
 	}
 	return reply, nil
 }
 
-// RunClientDialer executes the full client side of the protocol with
-// fault tolerance: Phase 1 runs locally on x exactly once (so every
-// attempt re-uploads the identical samples and the server's dedup
-// replacement is idempotent), then each attempt dials a fresh
-// connection and performs the wire exchange, backing off between
-// failures per the policy. Phase 3 runs locally on the first
-// successful reply. Uploads travel as float64 passthrough; see
-// RunClientDialerWire for the quantized wire.
-func RunClientDialer(dial func() (net.Conn, error), deviceID int, x *mat.Dense, local core.LocalOptions, policy RetryPolicy, rng *rand.Rand) (ClientResult, error) {
-	return RunClientDialerWire(dial, deviceID, x, local, policy, WireOptions{}, rng)
+// retryMetrics are the counters of one protocol's retry loop. They are
+// registered once, outside the loop: the registry lookup takes a mutex,
+// and the hot path of a retry storm must not serialize on it per
+// attempt (metrichygiene).
+type retryMetrics struct {
+	attempts, retries, dialErrs, exchangeErrs, rejections, gaveups *obs.Counter
 }
 
-// RunClientDialerWire is RunClientDialer with an explicit wire
-// configuration: with WireOptions.Quant set, every attempt re-packs
-// the identical Phase 1 samples with the stateless quantizer whenever
-// the server's hello advertises CodecQuant, so retried and duplicated
-// uploads stay byte-identical and dedup-idempotent while the uplink
-// carries Bits (not 64) bits per value.
-func RunClientDialerWire(dial func() (net.Conn, error), deviceID int, x *mat.Dense, local core.LocalOptions, policy RetryPolicy, wire WireOptions, rng *rand.Rand) (ClientResult, error) {
-	lr := core.LocalClusterAndSample(x, local, rng)
-	rows, cols := lr.Samples.Dims()
-	upload := SampleUpload{
-		DeviceID: deviceID,
-		Rows:     rows,
-		Cols:     cols,
-		Data:     lr.Samples.Data(),
-	}
-	// Instruments are registered once, outside the retry loop: the
-	// registry lookup takes a mutex, and the hot path of a retry storm
-	// must not serialize on it per attempt (metrichygiene).
-	reg := obs.Default()
-	retriesC := reg.Counter("fedsc_fednet_client_retries_total", "Client exchange attempts beyond the first.")
-	attemptsC := reg.Counter("fedsc_fednet_client_attempts_total", "Client connection attempts, including retries.")
-	dialErrsC := reg.Counter("fedsc_fednet_client_dial_errors_total", "Client dial attempts that failed before the exchange.")
-	rejectionsC := reg.Counter("fedsc_fednet_client_rejections_total", "Uploads the server answered with a rejection.")
-	exchangeErrsC := reg.Counter("fedsc_fednet_client_exchange_errors_total", "Exchanges that died mid-wire (reset, timeout, decode failure).")
-	roundsC := reg.Counter("fedsc_fednet_client_rounds_total", "Client round participations that completed Phase 3.")
+// retry runs one exchange with fault tolerance: each attempt dials a
+// fresh connection and runs the exchange on it, backing off between
+// failures per the policy. It returns the reply and how many attempts
+// it made.
+func retry[H any, R interface{ rejection() string }](dial func() (net.Conn, error), deviceID int, policy RetryPolicy, rng *rand.Rand, m retryMetrics, upload func(H) (SampleUpload, error)) (R, int, error) {
+	var reply R
 	var lastErr error
-	for attempt := 1; attempt <= policy.attempts(); attempt++ {
+	attempt := 1
+	for ; attempt <= policy.attempts(); attempt++ {
 		if attempt > 1 {
-			retriesC.Inc()
+			m.retries.Inc()
 			time.Sleep(policy.Backoff(attempt-1, rng))
 		}
-		attemptsC.Inc()
-		upload.Attempt = attempt
+		m.attempts.Inc()
 		conn, err := dial()
 		if err != nil {
-			dialErrsC.Inc()
+			m.dialErrs.Inc()
 			lastErr = fmt.Errorf("fednet: device %d dial: %w", deviceID, err)
 			continue
 		}
-		reply, err := exchange(conn, deviceID, upload, wire, policy)
-		if err != nil {
-			lastErr = err
-			var rejected rejectionError
-			if errors.As(err, &rejected) {
-				// The server saw the upload and said no; the identical
-				// payload cannot fare better on a retry.
-				rejectionsC.Inc()
-				break
-			}
-			exchangeErrsC.Inc()
-			continue
+		if reply, lastErr = exchange[H, R](conn, deviceID, attempt, policy, upload); lastErr == nil {
+			return reply, attempt, nil
 		}
-		if len(reply.Assignments) != cols {
-			return ClientResult{}, fmt.Errorf("fednet: device %d got %d assignments for %d samples",
-				deviceID, len(reply.Assignments), cols)
+		var rejected rejectionError
+		if errors.As(lastErr, &rejected) {
+			// The server saw the upload and said no; the identical
+			// payload cannot fare better on a retry.
+			m.rejections.Inc()
+			break
 		}
-		roundsC.Inc()
-		res := applyPhase3(x, local, lr, reply.Assignments)
-		res.Attempts = attempt
-		return res, nil
+		m.exchangeErrs.Inc()
 	}
-	reg.Counter("fedsc_fednet_client_gaveups_total", "Client participations abandoned after exhausting the retry budget.").Inc()
-	return ClientResult{}, fmt.Errorf("fednet: device %d gave up after %d attempts: %w", deviceID, policy.attempts(), lastErr)
+	m.gaveups.Inc()
+	return reply, min(attempt, policy.attempts()), fmt.Errorf("fednet: device %d gave up after %d attempts: %w", deviceID, policy.attempts(), lastErr)
 }
 
-// applyPhase3 is the local update: with SamplesPerCluster > 1 the
-// local cluster's label is the majority vote over its samples.
-func applyPhase3(x *mat.Dense, local core.LocalOptions, lr core.LocalResult, assignments []int) ClientResult {
-	spc := local.SamplesPerCluster
-	if spc <= 0 {
-		spc = 1
-	}
-	labels := make([]int, x.Cols())
-	sampleLabels := make([]int, lr.R())
-	for t, idx := range lr.Partitions {
-		votes := map[int]int{}
-		for s := 0; s < spc; s++ {
-			votes[assignments[t*spc+s]]++
-		}
-		best, bestN := 0, -1
-		for lab, n := range votes {
-			// Lowest label wins ties so the majority vote never depends
-			// on map iteration order.
-			if n > bestN || (n == bestN && lab < best) {
-				best, bestN = lab, n
-			}
-		}
-		sampleLabels[t] = best
-		for _, i := range idx {
-			labels[i] = best
-		}
-	}
-	return ClientResult{Labels: labels, R: lr.R(), SampleAssignments: sampleLabels}
-}
-
-// RunClientDuplicate participates like RunClientDialer but replays the
-// identical upload on a second connection before reading any reply — a
-// duplicate late connect, the adversarial counterpart of a retry. The
-// server must pool the device exactly once; the superseded connection
-// receives a rejection, which is drained concurrently so the server's
-// reply pass can never block on an unread synchronous transport.
-func RunClientDuplicate(dial func() (net.Conn, error), deviceID int, x *mat.Dense, local core.LocalOptions, policy RetryPolicy, rng *rand.Rand) (ClientResult, error) {
-	return RunClientDuplicateWire(dial, deviceID, x, local, policy, WireOptions{}, rng)
-}
-
-// RunClientDuplicateWire is RunClientDuplicate under an explicit wire
-// configuration; both the doomed first upload and the live second one
-// negotiate their codec from their own connection's hello, so the
-// duplicate carries the same quantized bytes as the original.
-func RunClientDuplicateWire(dial func() (net.Conn, error), deviceID int, x *mat.Dense, local core.LocalOptions, policy RetryPolicy, wire WireOptions, rng *rand.Rand) (ClientResult, error) {
+// RunClientDialerWire executes the full client side of the protocol
+// with fault tolerance: Phase 1 runs locally on x exactly once (so every
+// attempt re-uploads the identical samples and the server's dedup
+// replacement is idempotent), then each attempt dials a fresh
+// connection and performs the wire exchange, backing off between
+// failures per the policy. Phase 3 runs locally on the first successful
+// reply. With WireOptions.Quant set, every attempt re-packs the
+// identical samples with the stateless quantizer whenever the server's
+// hello advertises CodecQuant, so retried and duplicated uploads stay
+// byte-identical while the uplink carries Bits (not 64) bits per value;
+// the zero WireOptions uploads float64 passthrough.
+func RunClientDialerWire(dial func() (net.Conn, error), deviceID int, x *mat.Dense, local core.LocalOptions, policy RetryPolicy, wire WireOptions, rng *rand.Rand) (ClientResult, error) {
 	lr := core.LocalClusterAndSample(x, local, rng)
 	rows, cols := lr.Samples.Dims()
-	upload := SampleUpload{DeviceID: deviceID, Rows: rows, Cols: cols, Data: lr.Samples.Data()}
-
-	connA, err := dial()
-	if err != nil {
-		return ClientResult{}, fmt.Errorf("fednet: device %d dial: %w", deviceID, err)
+	reg := obs.Default()
+	roundsC := reg.Counter("fedsc_fednet_client_rounds_total", "Client round participations that completed Phase 3.")
+	m := retryMetrics{
+		attempts:     reg.Counter("fedsc_fednet_client_attempts_total", "Client connection attempts, including retries."),
+		retries:      reg.Counter("fedsc_fednet_client_retries_total", "Client exchange attempts beyond the first."),
+		dialErrs:     reg.Counter("fedsc_fednet_client_dial_errors_total", "Client dial attempts that failed before the exchange."),
+		exchangeErrs: reg.Counter("fedsc_fednet_client_exchange_errors_total", "Exchanges that died mid-wire (reset, timeout, decode failure)."),
+		rejections:   reg.Counter("fedsc_fednet_client_rejections_total", "Uploads the server answered with a rejection."),
+		gaveups:      reg.Counter("fedsc_fednet_client_gaveups_total", "Client participations abandoned after exhausting the retry budget."),
 	}
-	if err := connA.SetReadDeadline(policy.ioDeadline()); err != nil {
-		_ = connA.Close() // the dial is being abandoned
-		return ClientResult{}, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
-	}
-	var helloA RoundHello
-	if err := gob.NewDecoder(connA).Decode(&helloA); err != nil {
-		_ = connA.Close() // the exchange failed; nothing acts on the close error
-		return ClientResult{}, fmt.Errorf("fednet: device %d round hello: %w", deviceID, err)
-	}
-	first := upload
-	first.Nonce, first.Attempt = helloA.Nonce, 1
-	first, err = encodeWire(first, wire, helloA.Codecs)
-	if err != nil {
-		_ = connA.Close() // the exchange failed; nothing acts on the close error
-		return ClientResult{}, err
-	}
-	if err := connA.SetWriteDeadline(policy.ioDeadline()); err != nil {
-		_ = connA.Close() // the exchange failed; nothing acts on the close error
-		return ClientResult{}, fmt.Errorf("fednet: device %d set write deadline: %w", deviceID, err)
-	}
-	if err := gob.NewEncoder(connA).Encode(first); err != nil {
-		_ = connA.Close() // the exchange failed; nothing acts on the close error
-		return ClientResult{}, fmt.Errorf("fednet: device %d upload: %w", deviceID, err)
-	}
-	drained := make(chan struct{})
-	go func() {
-		// Drain the rejection the server will send here at round end;
-		// its content is already known ("superseded") and irrelevant.
-		defer close(drained)
-		_ = connA.SetReadDeadline(policy.replyDeadline())
-		var rejected AssignmentReply
-		_ = gob.NewDecoder(connA).Decode(&rejected)
-		_ = connA.Close()
-	}()
-	defer func() {
-		// Termination proof for the drain: closing connA unblocks the
-		// decode even under an unbounded reply deadline (the server's
-		// write, if it lost the race, fails onto a conn already marked
-		// superseded), and the receive joins the goroutine before the
-		// function returns on any path.
-		_ = connA.Close()
-		<-drained
-	}()
-
-	second := upload
-	second.Attempt = 2
-	reply, err := func() (AssignmentReply, error) {
-		connB, err := dial()
-		if err != nil {
-			return AssignmentReply{}, fmt.Errorf("fednet: device %d dial: %w", deviceID, err)
-		}
-		return exchange(connB, deviceID, second, wire, policy)
-	}()
+	reply, attempts, err := retry[RoundHello, AssignmentReply](dial, deviceID, policy, rng, m, func(hello RoundHello) (SampleUpload, error) {
+		return encodeWire(SampleUpload{DeviceID: deviceID, Nonce: hello.Nonce,
+			Rows: rows, Cols: cols, Data: lr.Samples.Data()}, wire, hello.Codecs)
+	})
 	if err != nil {
 		return ClientResult{}, err
 	}
@@ -371,36 +256,7 @@ func RunClientDuplicateWire(dial func() (net.Conn, error), deviceID int, x *mat.
 		return ClientResult{}, fmt.Errorf("fednet: device %d got %d assignments for %d samples",
 			deviceID, len(reply.Assignments), cols)
 	}
-	res := applyPhase3(x, local, lr, reply.Assignments)
-	res.Attempts = 2
-	return res, nil
-}
-
-// RunClient executes the client protocol on an established connection
-// in a single attempt; the connection is closed before returning. Use
-// RunClientDialer for retry-capable participation.
-func RunClient(conn net.Conn, deviceID int, x *mat.Dense, local core.LocalOptions, rng *rand.Rand) (ClientResult, error) {
-	used := false
-	dial := func() (net.Conn, error) {
-		if used {
-			return nil, errors.New("fednet: single-connection client cannot redial")
-		}
-		used = true
-		return conn, nil
-	}
-	return RunClientDialer(dial, deviceID, x, local, RetryPolicy{}, rng)
-}
-
-// DialAndRun connects to addr over TCP and runs the client protocol in
-// a single attempt.
-func DialAndRun(addr string, deviceID int, x *mat.Dense, local core.LocalOptions, rng *rand.Rand) (ClientResult, error) {
-	return DialAndRunRetry(addr, deviceID, x, local, RetryPolicy{}, rng)
-}
-
-// DialAndRunRetry connects to addr over TCP and runs the client
-// protocol under the given retry policy, dialing a fresh connection
-// per attempt.
-func DialAndRunRetry(addr string, deviceID int, x *mat.Dense, local core.LocalOptions, policy RetryPolicy, rng *rand.Rand) (ClientResult, error) {
-	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	return RunClientDialer(dial, deviceID, x, local, policy, rng)
+	roundsC.Inc()
+	labels, clusterLabels := lr.Relabel(reply.Assignments, max(local.SamplesPerCluster, 1), x.Cols())
+	return ClientResult{Labels: labels, R: lr.R(), SampleAssignments: clusterLabels, Attempts: attempts}, nil
 }

@@ -36,7 +36,7 @@ func runWireRound(t *testing.T, devices []*mat.Dense, l int, srv *Server, wire W
 				core.LocalOptions{UseEigengap: true}, RetryPolicy{}, wire, rng)
 		}(dev, cc)
 	}
-	stats, serveErr := srv.ServeConns(serverConns)
+	stats, serveErr := serveConns(srv, serverConns)
 	cw.Wait()
 	if serveErr != nil {
 		t.Fatalf("server: %v", serveErr)
@@ -189,7 +189,7 @@ func TestServerRejectsUnadvertisedCodec(t *testing.T) {
 	one := &Server{L: 4, Expect: 1, Seed: 99, Codecs: []WireCodec{CodecFloat64}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := one.ServeConns([]net.Conn{sc})
+		_, err := serveConns(one, []net.Conn{sc})
 		done <- err
 	}()
 	dec := gob.NewDecoder(cc)

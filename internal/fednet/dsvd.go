@@ -1,15 +1,11 @@
 package fednet
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"fedsc/internal/dsvd"
@@ -110,20 +106,6 @@ type DSVDServer struct {
 	MaxUploadBytes int64
 }
 
-func (s *DSVDServer) codecs() []WireCodec {
-	if s.Codecs != nil {
-		return s.Codecs
-	}
-	return []WireCodec{CodecQuant, CodecFloat64}
-}
-
-func (s *DSVDServer) reg() *obs.Registry {
-	if s.Opts.Obs != nil {
-		return s.Opts.Obs
-	}
-	return obs.Default()
-}
-
 // DSVDServeStats summarizes one completed distributed solve.
 type DSVDServeStats struct {
 	// Result is the converged decomposition.
@@ -148,7 +130,7 @@ type DSVDServeStats struct {
 // tolerance or the iteration cap, collecting one projection per device
 // per iteration, and leaves the listener open for the caller. Every
 // accepted connection receives a reply.
-func (s *DSVDServer) Serve(ln net.Listener) (DSVDServeStats, error) {
+func (s *DSVDServer) Serve(ln net.Listener) (stats DSVDServeStats, err error) {
 	if s.Expect <= 0 {
 		return DSVDServeStats{}, fmt.Errorf("fednet: dsvd server expects a positive device count, got %d", s.Expect)
 	}
@@ -156,7 +138,7 @@ func (s *DSVDServer) Serve(ln net.Listener) (DSVDServeStats, error) {
 	if err != nil {
 		return DSVDServeStats{}, err
 	}
-	reg := s.reg()
+	reg := registry(s.Opts.Obs)
 	// Instruments are registered once, before the iteration loop
 	// (metrichygiene): the registry lookup takes a mutex and the
 	// per-iteration path must not serialize on it.
@@ -175,274 +157,48 @@ func (s *DSVDServer) Serve(ln net.Listener) (DSVDServeStats, error) {
 	root := s.Opts.Trace.Start("dsvd.round", obs.Int("expect", s.Expect), obs.Int("k", st.K()), obs.Int("n", s.Rows))
 	defer root.End()
 
-	up := &countingWriter{}
-	down := &countingWriter{}
-
-	// One acceptor for the whole solve: devices dial back once per
-	// iteration, so connections keep arriving across iterations. The
-	// join mirrors Server.Serve: poke the (possibly blocked) Accept
-	// awake with an immediate deadline, then clear it.
-	accepted := make(chan net.Conn)
-	acceptErrCh := make(chan error, 1)
-	doneCh := make(chan struct{})
-	acceptorDone := make(chan struct{})
+	codecs := advertised(s.Codecs)
+	col := newCollector(ln, collectPolicy{expect: s.Expect, wait: s.WaitTimeout, codecs: codecs, maxUploadBytes: s.MaxUploadBytes})
+	defer col.close()
 	defer func() {
-		close(doneCh)
-		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-			if d.SetDeadline(time.Now()) == nil {
-				<-acceptorDone
-			}
-			_ = d.SetDeadline(time.Time{})
-		}
-	}()
-	go func() {
-		defer close(acceptorDone)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				select {
-				case acceptErrCh <- err:
-				case <-doneCh:
-				}
-				return
-			}
-			select {
-			case accepted <- conn:
-			case <-doneCh:
-				// The solve is over; a Close error on a refused late
-				// connection has no one left to report to.
-				_ = conn.Close()
-				return
-			}
-		}
-	}()
-
-	var dlMu sync.Mutex
-	currentDL := time.Time{}
-	applyDL := func(conn net.Conn) error {
-		dlMu.Lock()
-		defer dlMu.Unlock()
-		return conn.SetDeadline(currentDL)
-	}
-
-	arrivals := make(chan *clientState)
-	// handle runs one connection's exchange for the iteration whose
-	// hello it is given; the hello is passed in (not read from shared
-	// state) so a connection accepted while the coordinator advances can
-	// never observe a half-updated iterate.
-	handle := func(c *clientState, hello DSVDHello) {
-		if err := applyDL(c.conn); err != nil {
-			c.err = fmt.Errorf("fednet: set deadline: %w", err)
-			arrivals <- c
-			return
-		}
-		if err := c.enc.Encode(hello); err != nil {
-			c.err = fmt.Errorf("fednet: send dsvd hello: %w", err)
-			arrivals <- c
-			return
-		}
-		var r io.Reader = &countingReader{r: c.conn, counter: up}
-		var limited *io.LimitedReader
-		if s.MaxUploadBytes > 0 {
-			limited = &io.LimitedReader{R: r, N: s.MaxUploadBytes + 1}
-			r = limited
-		}
-		if err := gob.NewDecoder(r).Decode(&c.upload); err != nil {
-			if limited != nil && limited.N <= 0 {
-				c.err = fmt.Errorf("fednet: upload exceeds the %d-byte limit", s.MaxUploadBytes)
-			} else {
-				c.err = fmt.Errorf("fednet: decode projection upload: %w", err)
-			}
-			arrivals <- c
-			return
-		}
-		if c.upload.Nonce != hello.Nonce {
-			c.err = fmt.Errorf("fednet: device %d echoed a stale iteration nonce", c.upload.DeviceID)
-		} else if !codecOffered(s.codecs(), c.upload.codec()) {
-			c.err = fmt.Errorf("fednet: device %d uploaded with unadvertised codec %q", c.upload.DeviceID, c.upload.codec())
-		} else if err := c.upload.Validate(); err != nil {
-			c.err = err
-		} else if c.upload.Rows != hello.Rows || c.upload.Cols != hello.K {
-			c.err = fmt.Errorf("fednet: device %d projected %dx%d, iterate is %dx%d",
-				c.upload.DeviceID, c.upload.Rows, c.upload.Cols, hello.Rows, hello.K)
-		}
-		arrivals <- c
-	}
-
-	stats := DSVDServeStats{}
-	var failures []string
-	pending := map[*clientState]bool{}
-	var acceptFailure error
-
-	cut := func(dl time.Time) {
-		dlMu.Lock()
-		currentDL = dl
-		dlMu.Unlock()
-		for c := range pending {
-			if err := applyDL(c.conn); err != nil {
-				// The handler owns c until it arrives; a transport that
-				// rejects deadlines surfaces through its own decode path.
-				_ = c.conn.Close()
-			}
-		}
-	}
-	abort := func(open []*clientState) {
-		abortedC.Inc()
-		for _, c := range open {
-			// Aborting: the devices see the broken pipe; their Close
-			// errors carry no additional signal.
-			_ = c.conn.Close()
-		}
-		for c := range pending {
-			_ = c.conn.Close()
-		}
-		for len(pending) > 0 {
-			c := <-arrivals
-			delete(pending, c)
-		}
-	}
-	finish := func() {
-		stats.UplinkBytes = up.total()
-		stats.DownlinkBytes = down.total()
-		sort.Strings(failures)
-		stats.Failures = failures
+		stats.UplinkBytes = col.up.Load()
+		stats.DownlinkBytes = col.down.Load()
+		sort.Strings(stats.Failures)
 		uplinkC.Add(stats.UplinkBytes)
 		downlinkC.Add(stats.DownlinkBytes)
 		supersededC.Add(int64(stats.Retries))
-	}
-
-	replyDL := func() time.Time {
-		if s.WaitTimeout > 0 {
-			return time.Now().Add(s.WaitTimeout)
-		}
-		return time.Time{}
-	}
-	reply := func(c *clientState, r DSVDReply) {
-		if err := c.conn.SetDeadline(replyDL()); err != nil && c.err == nil {
-			c.err = fmt.Errorf("fednet: set reply deadline for device %d: %w", c.upload.DeviceID, err)
-		}
-		if err := c.enc.Encode(r); err != nil && c.err == nil {
-			c.err = fmt.Errorf("fednet: reply to device %d: %w", c.upload.DeviceID, err)
-		}
-		if err := c.conn.Close(); err != nil && c.err == nil {
-			c.err = fmt.Errorf("fednet: close device %d: %w", c.upload.DeviceID, err)
-		}
-	}
+	}()
 
 	for !st.Done() {
 		iterStart := time.Now()
 		iter := st.Iters()
 		nonce := dsvdNonce(s.Opts.Seed, iter)
-		hello := DSVDHello{Nonce: nonce, Iter: iter, Rows: s.Rows, K: st.K(), Basis: st.Basis().Data(), Codecs: s.codecs()}
+		// Every connection of the iteration gets this same hello, so one
+		// accepted while the coordinator advances can never observe a
+		// half-updated iterate.
+		hello := DSVDHello{Nonce: nonce, Iter: iter, Rows: s.Rows, K: st.K(), Basis: st.Basis().Data(), Codecs: codecs}
 		sp := root.Start("dsvd.iter", obs.Int("iter", iter), obs.Int("expect", s.Expect))
-		// Collecting again: lift the previous iteration's closing cut so
-		// freshly accepted connections wait unbounded (or to the
-		// iteration timer below).
-		cut(time.Time{})
-
-		byDevice := map[int]*clientState{}
-		var failed []*clientState
-		var timeoutCh <-chan time.Time
-		if s.WaitTimeout > 0 {
-			timeoutCh = time.After(s.WaitTimeout)
-		}
-		aborted := false
-		// An iteration is complete when every device is pooled AND no
-		// accepted connection is still in flight: a duplicate or retry
-		// racing the last expected upload must drain through the dedup
-		// path (supersede, highest attempt wins), not be guillotined by
-		// an early close — it belongs to this iteration.
-		for len(byDevice) < s.Expect || len(pending) > 0 {
-			if acceptFailure != nil && len(pending) == 0 {
-				aborted = true
-				err = fmt.Errorf("fednet: accept: %w", acceptFailure)
-				break
+		rd, err := col.collect(sp, hello, nonce, func(u SampleUpload) error {
+			if u.Rows != hello.Rows || u.Cols != hello.K {
+				return fmt.Errorf("fednet: device %d projected %dx%d, iterate is %dx%d", u.DeviceID, u.Rows, u.Cols, hello.Rows, hello.K)
 			}
-			select {
-			case conn := <-accepted:
-				c := &clientState{conn: conn, enc: gob.NewEncoder(&countedWriter{w: conn, counter: down})}
-				pending[c] = true
-				go handle(c, hello)
-			case c := <-arrivals:
-				delete(pending, c)
-				usp := sp.Start("upload", obs.Int("device", c.upload.DeviceID), obs.Int("attempt", c.upload.Attempt))
-				if c.err != nil {
-					usp.SetAttr("err", c.err.Error())
-				}
-				usp.End()
-				if c.err != nil {
-					failed = append(failed, c)
-					continue
-				}
-				if prev, ok := byDevice[c.upload.DeviceID]; ok {
-					// Highest attempt wins, ties to the newer arrival —
-					// the same idempotent dedup as the sample round, so a
-					// dead first attempt delivered late cannot evict the
-					// live retry.
-					stale := prev
-					if c.upload.Attempt < prev.upload.Attempt {
-						stale = c
-					} else {
-						byDevice[c.upload.DeviceID] = c
-					}
-					stale.err = fmt.Errorf("fednet: superseded by a newer upload from device %d", stale.upload.DeviceID)
-					failed = append(failed, stale)
-					stats.Retries++
-					continue
-				}
-				byDevice[c.upload.DeviceID] = c
-			case e := <-acceptErrCh:
-				acceptFailure = e
-			case <-timeoutCh:
-				aborted = true
-				err = fmt.Errorf("fednet: iteration %d: only %d of %d devices reported before the timeout",
-					iter, len(byDevice), s.Expect)
-				break
-			}
-			if aborted {
-				break
-			}
-		}
-		if aborted {
-			// Reject in ascending device order so the abort fan-out (and
-			// any error it records) is replayable.
-			openIDs := make([]int, 0, len(byDevice))
-			for id := range byDevice {
-				openIDs = append(openIDs, id)
-			}
-			sort.Ints(openIDs)
-			open := make([]*clientState, 0, len(byDevice)+len(failed))
-			for _, id := range openIDs {
-				open = append(open, byDevice[id])
-			}
-			open = append(open, failed...)
-			abort(open)
+			return nil
+		})
+		if err != nil {
+			err = fmt.Errorf("fednet: iteration %d: %w", iter, err)
+			abortedC.Inc()
 			sp.SetAttr("err", err.Error())
 			sp.End()
-			finish()
 			return stats, err
 		}
+		stats.Retries += rd.retries
 
 		// Pool in ascending DeviceID order — part of the dsvd determinism
 		// contract (float sums do not commute).
-		ids := make([]int, 0, len(byDevice))
-		for id := range byDevice {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		parts := make([]*mat.Dense, 0, len(ids))
-		for _, id := range ids {
-			c := byDevice[id]
-			values, verr := c.upload.Samples()
-			if verr != nil {
-				// Validate pinned the shape, so this cannot fail; guard
-				// the pool anyway rather than ingest a short matrix.
-				abort(append(failed, c))
-				sp.End()
-				finish()
-				return stats, fmt.Errorf("fednet: decode projection: %w", verr)
-			}
-			parts = append(parts, mat.NewDenseData(c.upload.Rows, c.upload.Cols, values))
+		parts := make([]*mat.Dense, 0, len(rd.byDevice))
+		for _, id := range rd.ids() {
+			c := rd.byDevice[id]
+			parts = append(parts, mat.NewDenseData(c.upload.Rows, c.upload.Cols, c.values))
 			stats.UplinkPayloadBits += c.upload.PayloadBits()
 		}
 		rho := st.Ingest(dsvd.Pool(parts))
@@ -450,18 +206,14 @@ func (s *DSVDServer) Serve(ln net.Listener) (DSVDServeStats, error) {
 		residualH.Observe(rho)
 		secondsH.Observe(time.Since(iterStart).Seconds())
 		more := !st.Done()
-
-		for _, id := range ids {
-			reply(byDevice[id], DSVDReply{More: more})
-		}
-		for _, c := range failed {
-			reply(c, DSVDReply{Err: c.err.Error()})
-			failures = append(failures, fmt.Sprintf("iter %d device %d: %v", iter, c.upload.DeviceID, c.err))
-		}
-		for _, id := range ids {
-			if c := byDevice[id]; c.err != nil {
-				failures = append(failures, fmt.Sprintf("iter %d device %d: %v", iter, c.upload.DeviceID, c.err))
+		col.reply(rd, func(c *clientState) any {
+			if c.err != nil {
+				return DSVDReply{Err: c.err.Error()}
 			}
+			return DSVDReply{More: more}
+		})
+		for _, f := range rd.failures() {
+			stats.Failures = append(stats.Failures, fmt.Sprintf("iter %d %s", iter, f))
 		}
 		sp.SetAttr("residual", fmt.Sprintf("%.3e", rho))
 		sp.End()
@@ -471,7 +223,6 @@ func (s *DSVDServer) Serve(ln net.Listener) (DSVDServeStats, error) {
 	if stats.Result.Converged {
 		convergedC.Inc()
 	}
-	finish()
 	return stats, nil
 }
 
@@ -480,256 +231,56 @@ func (s *DSVDServer) Serve(ln net.Listener) (DSVDServeStats, error) {
 type DSVDClientStats struct {
 	// Iters is the number of iterations the device served.
 	Iters int
-	// Attempts is the total number of connections dialed, retries and
-	// duplicates included.
+	// Attempts is the total number of connections dialed, retries
+	// included.
 	Attempts int
-}
-
-// dsvdExchange serves one iteration on an established connection: read
-// the hello, project the local block against its basis, upload the
-// projection, read the reply. The connection is closed before return.
-func dsvdExchange(conn net.Conn, deviceID int, block *mat.Dense, attempt int, wire WireOptions, policy RetryPolicy) (DSVDReply, error) {
-	// The exchange is one-shot per iteration: a Close error after a
-	// complete exchange changes nothing the client can act on.
-	defer func() { _ = conn.Close() }()
-	if err := conn.SetReadDeadline(policy.ioDeadline()); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
-	}
-	var hello DSVDHello
-	if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d dsvd hello: %w", deviceID, err)
-	}
-	if err := hello.Validate(); err != nil {
-		return DSVDReply{}, err
-	}
-	if hello.Rows != block.Rows() {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d holds %d-dimensional columns, iterate is %d-dimensional",
-			deviceID, block.Rows(), hello.Rows)
-	}
-	u := mat.NewDenseData(hello.Rows, hello.K, hello.Basis)
-	w := dsvd.ProjectBlock(block, u)
-	upload := SampleUpload{
-		DeviceID: deviceID,
-		Nonce:    hello.Nonce,
-		Attempt:  attempt,
-		Rows:     hello.Rows,
-		Cols:     hello.K,
-		Data:     w.Data(),
-	}
-	upload, err := encodeWire(upload, wire, hello.Codecs)
-	if err != nil {
-		return DSVDReply{}, err
-	}
-	if err := conn.SetWriteDeadline(policy.ioDeadline()); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d set write deadline: %w", deviceID, err)
-	}
-	if err := gob.NewEncoder(conn).Encode(upload); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d projection upload: %w", deviceID, err)
-	}
-	if err := conn.SetReadDeadline(policy.replyDeadline()); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
-	}
-	var reply DSVDReply
-	if err := gob.NewDecoder(conn).Decode(&reply); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d dsvd reply: %w", deviceID, err)
-	}
-	if reply.Err != "" {
-		return DSVDReply{}, rejectionError{msg: fmt.Sprintf("fednet: device %d rejected by server: %s", deviceID, reply.Err)}
-	}
-	return reply, nil
 }
 
 // RunDSVDClient participates in a distributed solve with fault
 // tolerance: each iteration dials a fresh connection and serves one
-// exchange, retrying with backoff per the policy; the loop continues
-// while the server's reply says more iterations are coming. The client
-// is stateless across connections — whatever basis a hello carries is
-// the one projected — so a retry that lands after the server advanced
-// an iteration still uploads a valid (current) projection.
+// exchange — read the hello, project the local block against its
+// basis, upload the projection, read the reply — retrying with backoff
+// per the policy; the loop continues while the server's reply says
+// more iterations are coming. The client is stateless across
+// connections — whatever basis a hello carries is the one projected —
+// so a retry that lands after the server advanced an iteration still
+// uploads a valid (current) projection.
 func RunDSVDClient(dial func() (net.Conn, error), deviceID int, block *mat.Dense, policy RetryPolicy, wire WireOptions, rng *rand.Rand) (DSVDClientStats, error) {
 	reg := obs.Default()
-	// Registered once, outside both loops (metrichygiene).
+	// Registered once, outside the loop (metrichygiene).
 	itersC := reg.Counter("fedsc_dsvd_client_iterations_total", "Projection iterations served by dsvd clients.")
-	attemptsC := reg.Counter("fedsc_dsvd_client_attempts_total", "dsvd client connection attempts, including retries.")
-	retriesC := reg.Counter("fedsc_dsvd_client_retries_total", "dsvd client exchange attempts beyond an iteration's first.")
-	dialErrsC := reg.Counter("fedsc_dsvd_client_dial_errors_total", "dsvd client dial attempts that failed before the exchange.")
-	exchangeErrsC := reg.Counter("fedsc_dsvd_client_exchange_errors_total", "dsvd exchanges that died mid-wire.")
-	rejectionsC := reg.Counter("fedsc_dsvd_client_rejections_total", "dsvd uploads the server answered with a rejection.")
 	solvesC := reg.Counter("fedsc_dsvd_client_solves_total", "Distributed solves a dsvd client served to completion.")
-	gaveupsC := reg.Counter("fedsc_dsvd_client_gaveups_total", "dsvd participations abandoned after exhausting the retry budget.")
+	m := retryMetrics{
+		attempts:     reg.Counter("fedsc_dsvd_client_attempts_total", "dsvd client connection attempts, including retries."),
+		retries:      reg.Counter("fedsc_dsvd_client_retries_total", "dsvd client exchange attempts beyond an iteration's first."),
+		dialErrs:     reg.Counter("fedsc_dsvd_client_dial_errors_total", "dsvd client dial attempts that failed before the exchange."),
+		exchangeErrs: reg.Counter("fedsc_dsvd_client_exchange_errors_total", "dsvd exchanges that died mid-wire."),
+		rejections:   reg.Counter("fedsc_dsvd_client_rejections_total", "dsvd uploads the server answered with a rejection."),
+		gaveups:      reg.Counter("fedsc_dsvd_client_gaveups_total", "dsvd participations abandoned after exhausting the retry budget."),
+	}
+	project := func(hello DSVDHello) (SampleUpload, error) {
+		if err := hello.Validate(); err != nil {
+			return SampleUpload{}, err
+		}
+		if hello.Rows != block.Rows() {
+			return SampleUpload{}, fmt.Errorf("fednet: device %d holds %d-dimensional columns, iterate is %d-dimensional",
+				deviceID, block.Rows(), hello.Rows)
+		}
+		w := dsvd.ProjectBlock(block, mat.NewDenseData(hello.Rows, hello.K, hello.Basis))
+		return encodeWire(SampleUpload{DeviceID: deviceID, Nonce: hello.Nonce,
+			Rows: hello.Rows, Cols: hello.K, Data: w.Data()}, wire, hello.Codecs)
+	}
 	stats := DSVDClientStats{}
 	for {
-		var reply DSVDReply
-		var lastErr error
-		ok := false
-		for attempt := 1; attempt <= policy.attempts(); attempt++ {
-			if attempt > 1 {
-				retriesC.Inc()
-				time.Sleep(policy.Backoff(attempt-1, rng))
-			}
-			attemptsC.Inc()
-			stats.Attempts++
-			conn, err := dial()
-			if err != nil {
-				dialErrsC.Inc()
-				lastErr = fmt.Errorf("fednet: device %d dial: %w", deviceID, err)
-				continue
-			}
-			reply, err = dsvdExchange(conn, deviceID, block, attempt, wire, policy)
-			if err != nil {
-				lastErr = err
-				var rejected rejectionError
-				if errors.As(err, &rejected) {
-					// The server saw the upload and said no; the identical
-					// payload cannot fare better on a retry.
-					rejectionsC.Inc()
-					break
-				}
-				exchangeErrsC.Inc()
-				continue
-			}
-			ok = true
-			break
-		}
-		if !ok {
-			gaveupsC.Inc()
-			return stats, fmt.Errorf("fednet: device %d gave up after %d attempts: %w", deviceID, policy.attempts(), lastErr)
+		reply, attempts, err := retry[DSVDHello, DSVDReply](dial, deviceID, policy, rng, m, project)
+		stats.Attempts += attempts
+		if err != nil {
+			return stats, err
 		}
 		stats.Iters++
 		itersC.Inc()
 		if !reply.More {
 			solvesC.Inc()
-			return stats, nil
-		}
-	}
-}
-
-// dsvdOpen dials one connection, reads and validates its hello, and
-// prepares the projection upload for it with the given attempt number.
-// On error the connection is already closed.
-func dsvdOpen(dial func() (net.Conn, error), deviceID int, block *mat.Dense, attempt int, wire WireOptions, policy RetryPolicy) (net.Conn, SampleUpload, error) {
-	conn, err := dial()
-	if err != nil {
-		return nil, SampleUpload{}, fmt.Errorf("fednet: device %d dial: %w", deviceID, err)
-	}
-	fail := func(err error) (net.Conn, SampleUpload, error) {
-		_ = conn.Close() // the exchange failed; nothing acts on the close error
-		return nil, SampleUpload{}, err
-	}
-	if err := conn.SetReadDeadline(policy.ioDeadline()); err != nil {
-		return fail(fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err))
-	}
-	var hello DSVDHello
-	if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
-		return fail(fmt.Errorf("fednet: device %d dsvd hello: %w", deviceID, err))
-	}
-	if err := hello.Validate(); err != nil {
-		return fail(err)
-	}
-	if hello.Rows != block.Rows() {
-		return fail(fmt.Errorf("fednet: device %d holds %d-dimensional columns, iterate is %d-dimensional",
-			deviceID, block.Rows(), hello.Rows))
-	}
-	u := mat.NewDenseData(hello.Rows, hello.K, hello.Basis)
-	w := dsvd.ProjectBlock(block, u)
-	upload := SampleUpload{
-		DeviceID: deviceID,
-		Nonce:    hello.Nonce,
-		Attempt:  attempt,
-		Rows:     hello.Rows,
-		Cols:     hello.K,
-		Data:     w.Data(),
-	}
-	upload, err = encodeWire(upload, wire, hello.Codecs)
-	if err != nil {
-		return fail(err)
-	}
-	return conn, upload, nil
-}
-
-// dsvdDuplicateIteration serves one iteration but sends the upload
-// twice on two connections — a duplicate late connect, the adversarial
-// counterpart of a retry. Both hellos are read BEFORE either upload is
-// sent: the iteration cannot advance until this device's projection
-// arrives, so reading both hellos first pins both connections to the
-// same iteration and the attempt-2 upload deterministically supersedes
-// attempt 1 (whatever order they arrive — highest attempt wins). The
-// superseded connection's rejection is drained concurrently so the
-// server's reply pass can never block on an unread synchronous
-// transport.
-func dsvdDuplicateIteration(dial func() (net.Conn, error), deviceID int, block *mat.Dense, wire WireOptions, policy RetryPolicy) (DSVDReply, error) {
-	connA, first, err := dsvdOpen(dial, deviceID, block, 1, wire, policy)
-	if err != nil {
-		return DSVDReply{}, err
-	}
-	connB, second, err := dsvdOpen(dial, deviceID, block, 2, wire, policy)
-	if err != nil {
-		_ = connA.Close() // the duplicate dance is being abandoned
-		return DSVDReply{}, err
-	}
-	if err := connA.SetWriteDeadline(policy.ioDeadline()); err != nil {
-		_ = connA.Close() // the exchange failed; nothing acts on the close error
-		_ = connB.Close()
-		return DSVDReply{}, fmt.Errorf("fednet: device %d set write deadline: %w", deviceID, err)
-	}
-	if err := gob.NewEncoder(connA).Encode(first); err != nil {
-		_ = connA.Close() // the exchange failed; nothing acts on the close error
-		_ = connB.Close()
-		return DSVDReply{}, fmt.Errorf("fednet: device %d upload: %w", deviceID, err)
-	}
-	drained := make(chan struct{})
-	go func() {
-		// Drain the rejection the server will send here at iteration
-		// end; its content is already known ("superseded").
-		defer close(drained)
-		_ = connA.SetReadDeadline(policy.replyDeadline())
-		var rejected DSVDReply
-		_ = gob.NewDecoder(connA).Decode(&rejected)
-		_ = connA.Close()
-	}()
-	defer func() {
-		// Termination proof for the drain: closing connA unblocks the
-		// decode even under an unbounded reply deadline, and the receive
-		// joins the goroutine before the function returns on any path.
-		_ = connA.Close()
-		<-drained
-	}()
-
-	// Finish the attempt-2 exchange on connB: write the (identical)
-	// projection and read the authoritative reply.
-	defer func() { _ = connB.Close() }()
-	if err := connB.SetWriteDeadline(policy.ioDeadline()); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d set write deadline: %w", deviceID, err)
-	}
-	if err := gob.NewEncoder(connB).Encode(second); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d upload: %w", deviceID, err)
-	}
-	if err := connB.SetReadDeadline(policy.replyDeadline()); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
-	}
-	var reply DSVDReply
-	if err := gob.NewDecoder(connB).Decode(&reply); err != nil {
-		return DSVDReply{}, fmt.Errorf("fednet: device %d dsvd reply: %w", deviceID, err)
-	}
-	if reply.Err != "" {
-		return DSVDReply{}, rejectionError{msg: fmt.Sprintf("fednet: device %d rejected by server: %s", deviceID, reply.Err)}
-	}
-	return reply, nil
-}
-
-// RunDSVDClientDuplicate participates like RunDSVDClient but sends
-// every iteration's upload twice on two connections (attempts 1 and 2),
-// exercising the dedup path end to end.
-func RunDSVDClientDuplicate(dial func() (net.Conn, error), deviceID int, block *mat.Dense, policy RetryPolicy, wire WireOptions) (DSVDClientStats, error) {
-	stats := DSVDClientStats{}
-	for {
-		reply, err := dsvdDuplicateIteration(dial, deviceID, block, wire, policy)
-		stats.Attempts += 2
-		if err != nil {
-			return stats, err
-		}
-		stats.Iters++
-		if !reply.More {
 			return stats, nil
 		}
 	}

@@ -64,8 +64,8 @@ func runRound(t *testing.T, devices []*mat.Dense, l int, viaTCP bool) ([][]int, 
 			go func(dev int) {
 				defer cw.Done()
 				rng := rand.New(rand.NewSource(int64(1000 + dev)))
-				results[dev], errs[dev] = DialAndRun(addr, dev, devices[dev],
-					core.LocalOptions{UseEigengap: true}, rng)
+				results[dev], errs[dev] = RunClientDialerWire(dialTCP(addr), dev, devices[dev],
+					core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 			}(dev)
 		}
 		cw.Wait()
@@ -79,14 +79,14 @@ func runRound(t *testing.T, devices []*mat.Dense, l int, viaTCP bool) ([][]int, 
 			go func(dev int, conn net.Conn) {
 				defer cw.Done()
 				rng := rand.New(rand.NewSource(int64(1000 + dev)))
-				results[dev], errs[dev] = RunClient(conn, dev, devices[dev],
-					core.LocalOptions{UseEigengap: true}, rng)
+				results[dev], errs[dev] = RunClientDialerWire(dialConn(conn), dev, devices[dev],
+					core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 			}(dev, cc)
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats, serveErr = srv.ServeConns(serverConns)
+			stats, serveErr = serveConns(srv, serverConns)
 		}()
 		cw.Wait()
 	}
@@ -169,7 +169,7 @@ func TestServerRejectsMalformedUpload(t *testing.T) {
 	srv := &Server{L: 2, Expect: 1, Seed: 1}
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.ServeConns([]net.Conn{sc})
+		_, err := serveConns(srv, []net.Conn{sc})
 		done <- err
 	}()
 	// Complete the hello handshake, then send a malformed upload.
@@ -219,8 +219,8 @@ func TestServerStragglerTimeoutProceedsWithSubset(t *testing.T) {
 		go func(dev int) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(300 + dev)))
-			results[dev], _ = DialAndRun(ln.Addr().String(), dev, devices[dev],
-				core.LocalOptions{UseEigengap: true}, rng)
+			results[dev], _ = RunClientDialerWire(dialTCP(ln.Addr().String()), dev, devices[dev],
+				core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 		}(dev)
 	}
 	cw.Wait()
@@ -256,7 +256,7 @@ func TestServerStragglerTimeoutBelowMinimumFails(t *testing.T) {
 	// One lone client.
 	rng := rand.New(rand.NewSource(1))
 	devices, _ := fedDevices(10, 2, 2, 1, 2, 8, 164)
-	go DialAndRun(ln.Addr().String(), 0, devices[0], core.LocalOptions{UseEigengap: true}, rng)
+	go RunClientDialerWire(dialTCP(ln.Addr().String()), 0, devices[0], core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 	select {
 	case err := <-done:
 		if err == nil {
@@ -283,8 +283,8 @@ func TestServerStragglerStalledUploadDoesNotHang(t *testing.T) {
 	}()
 	// One healthy client, one that connects but never uploads.
 	devices, _ := fedDevices(10, 2, 2, 1, 2, 8, 165)
-	go DialAndRun(ln.Addr().String(), 0, devices[0], core.LocalOptions{UseEigengap: true},
-		rand.New(rand.NewSource(2)))
+	go RunClientDialerWire(dialTCP(ln.Addr().String()), 0, devices[0], core.LocalOptions{UseEigengap: true},
+		RetryPolicy{}, WireOptions{}, rand.New(rand.NewSource(2)))
 	stalled, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -355,8 +355,8 @@ func TestStragglerRoundUsesActualDeviceCount(t *testing.T) {
 		go func(dev int, conn net.Conn) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + dev)))
-			results[dev], errs[dev] = RunClient(conn, dev, devices[dev],
-				core.LocalOptions{UseEigengap: true}, rng)
+			results[dev], errs[dev] = RunClientDialerWire(dialConn(conn), dev, devices[dev],
+				core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 		}(dev, cc)
 	}
 	stats, err := srv.Serve(ln)
@@ -423,7 +423,7 @@ func TestStragglerRecordsDeadlineErrors(t *testing.T) {
 		go func(dev int, conn net.Conn) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(500 + dev)))
-			RunClient(conn, dev, devices[dev], core.LocalOptions{UseEigengap: true}, rng)
+			RunClientDialerWire(dialConn(conn), dev, devices[dev], core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 		}(dev, cc)
 	}
 	stats, err := srv.Serve(ln)
@@ -452,11 +452,11 @@ func TestServeExportsModel(t *testing.T) {
 		go func(dev int, conn net.Conn) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + dev)))
-			results[dev], _ = RunClient(conn, dev, devices[dev],
-				core.LocalOptions{UseEigengap: true}, rng)
+			results[dev], _ = RunClientDialerWire(dialConn(conn), dev, devices[dev],
+				core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 		}(dev, cc)
 	}
-	stats, err := srv.ServeConns(serverConns)
+	stats, err := serveConns(srv, serverConns)
 	cw.Wait()
 	if err != nil {
 		t.Fatalf("server: %v", err)

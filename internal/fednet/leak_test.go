@@ -1,7 +1,6 @@
 package fednet
 
 import (
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"runtime"
@@ -54,7 +53,7 @@ func TestServeReleasesAcceptorGoroutine(t *testing.T) {
 		clientErr := make(chan error, 1)
 		go func() {
 			rng := rand.New(rand.NewSource(int64(100 + i)))
-			_, err := DialAndRun(ln.Addr().String(), 0, devices[0], core.LocalOptions{UseEigengap: true}, rng)
+			_, err := RunClientDialerWire(dialTCP(ln.Addr().String()), 0, devices[0], core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 			clientErr <- err
 		}()
 		if _, err := srv.Serve(ln); err != nil {
@@ -66,64 +65,5 @@ func TestServeReleasesAcceptorGoroutine(t *testing.T) {
 	}
 	// Every per-round goroutine (acceptor included) must be gone while
 	// the listener is still open; pre-fix this sits at base+rounds.
-	waitGoroutines(t, base, 1, 3*time.Second)
-}
-
-// TestRunClientDuplicateJoinsDrain is the regression test for the
-// fire-and-forget drain goroutine: before the fix, RunClientDuplicate
-// returned while its superseded-connection drain could still be parked
-// in Decode — forever, when the server never answered that connection
-// and the policy carried no reply deadline. The fake server here does
-// exactly that: it completes the exchange on the second connection and
-// goes silent on the first, so only the join-on-return fix gets the
-// goroutine count back to baseline.
-func TestRunClientDuplicateJoinsDrain(t *testing.T) {
-	devices, _ := fedDevices(12, 2, 3, 1, 2, 6, 43)
-	base := runtime.NumGoroutine()
-
-	conns := make(chan net.Conn, 2)
-	serverA, clientA := net.Pipe()
-	serverB, clientB := net.Pipe()
-	conns <- clientA
-	conns <- clientB
-	dial := func() (net.Conn, error) { return <-conns, nil }
-
-	done := make(chan struct{})
-	go func() {
-		// Connection A: hello, read the upload, then silence — the shape
-		// of a round that aborts before the reply pass.
-		defer close(done)
-		if err := gob.NewEncoder(serverA).Encode(RoundHello{Nonce: 7}); err != nil {
-			t.Errorf("hello A: %v", err)
-			return
-		}
-		var up SampleUpload
-		if err := gob.NewDecoder(serverA).Decode(&up); err != nil {
-			t.Errorf("upload A: %v", err)
-			return
-		}
-		// Connection B: the full exchange with a real reply.
-		if err := gob.NewEncoder(serverB).Encode(RoundHello{Nonce: 7}); err != nil {
-			t.Errorf("hello B: %v", err)
-			return
-		}
-		if err := gob.NewDecoder(serverB).Decode(&up); err != nil {
-			t.Errorf("upload B: %v", err)
-			return
-		}
-		if err := gob.NewEncoder(serverB).Encode(AssignmentReply{Assignments: make([]int, up.Cols)}); err != nil {
-			t.Errorf("reply B: %v", err)
-		}
-	}()
-
-	rng := rand.New(rand.NewSource(9))
-	if _, err := RunClientDuplicate(dial, 0, devices[0], core.LocalOptions{UseEigengap: true}, RetryPolicy{}, rng); err != nil {
-		t.Fatalf("duplicate client: %v", err)
-	}
-	<-done
-	_ = serverA.Close()
-	_ = serverB.Close()
-	// The drain goroutine must have been joined before the client
-	// returned; pre-fix it is still parked in Decode on connection A.
 	waitGoroutines(t, base, 1, 3*time.Second)
 }

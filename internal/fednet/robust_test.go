@@ -50,8 +50,8 @@ func runCleanRound(t *testing.T, srv *Server, devices []*mat.Dense) ([][]int, Se
 		go func(dev int) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + dev)))
-			results[dev], errs[dev] = RunClientDialer(pn.Dial, dev, devices[dev],
-				core.LocalOptions{UseEigengap: true}, RetryPolicy{}, rng)
+			results[dev], errs[dev] = RunClientDialerWire(pn.Dial, dev, devices[dev],
+				core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 		}(dev)
 	}
 	cw.Wait()
@@ -133,8 +133,8 @@ func TestRetryReplacesPartialUpload(t *testing.T) {
 		go func(dev int) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + dev)))
-			results[dev], errs[dev] = RunClientDialer(pn.Dial, dev, devices[dev],
-				core.LocalOptions{UseEigengap: true}, RetryPolicy{}, rng)
+			results[dev], errs[dev] = RunClientDialerWire(pn.Dial, dev, devices[dev],
+				core.LocalOptions{UseEigengap: true}, RetryPolicy{}, WireOptions{}, rng)
 		}(dev)
 	}
 
@@ -156,7 +156,7 @@ func TestRetryReplacesPartialUpload(t *testing.T) {
 	}
 	_ = connA.Close() // the exchange is over; nothing acts on the error
 	_ = connB.Close() // the exchange is over; nothing acts on the error
-	res0 := applyPhase3(devices[0], core.LocalOptions{UseEigengap: true}, lr, replyB.Assignments)
+	labels0, _ := lr.Relabel(replyB.Assignments, 1, devices[0].Cols())
 	cw.Wait()
 	wg.Wait()
 	if serveErr != nil {
@@ -173,7 +173,7 @@ func TestRetryReplacesPartialUpload(t *testing.T) {
 		t.Fatalf("round pooled %d devices, want %d", stats.Devices, z)
 	}
 	labels := make([][]int, z)
-	labels[0] = res0.Labels
+	labels[0] = labels0
 	for dev := 1; dev < z; dev++ {
 		if errs[dev] != nil {
 			t.Fatalf("client %d: %v", dev, errs[dev])
@@ -228,8 +228,8 @@ func TestRetryAfterMidUploadReset(t *testing.T) {
 		go func(dev int) {
 			defer cw.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + dev)))
-			results[dev], errs[dev] = RunClientDialer(sched.Dialer(dev, pn.Dial), dev, devices[dev],
-				core.LocalOptions{UseEigengap: true}, policy, rng)
+			results[dev], errs[dev] = RunClientDialerWire(sched.Dialer(dev, pn.Dial), dev, devices[dev],
+				core.LocalOptions{UseEigengap: true}, policy, WireOptions{}, rng)
 		}(dev)
 	}
 	cw.Wait()
@@ -292,7 +292,7 @@ func TestStaleNonceRejected(t *testing.T) {
 	srv := &Server{L: 2, Expect: 1, Seed: 3}
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.ServeConns([]net.Conn{sc})
+		_, err := serveConns(srv, []net.Conn{sc})
 		done <- err
 	}()
 	dec := gob.NewDecoder(cc)
@@ -324,7 +324,7 @@ func TestMaxUploadBytesEnforced(t *testing.T) {
 	srv := &Server{L: 2, Expect: 1, Seed: 4, MaxUploadBytes: 1024}
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.ServeConns([]net.Conn{sc})
+		_, err := serveConns(srv, []net.Conn{sc})
 		done <- err
 	}()
 	dec := gob.NewDecoder(cc)
@@ -361,7 +361,7 @@ func TestMalformedGobRejected(t *testing.T) {
 	srv := &Server{L: 2, Expect: 1, Seed: 5}
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.ServeConns([]net.Conn{sc})
+		_, err := serveConns(srv, []net.Conn{sc})
 		done <- err
 	}()
 	dec := gob.NewDecoder(cc)
@@ -422,5 +422,38 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	}
 	if (RetryPolicy{}).attempts() != 1 {
 		t.Fatal("zero policy must mean a single attempt")
+	}
+}
+
+// TestStalledConnectionIsUnidentified: a connection whose upload never
+// decoded carries no device id, so its failure must not be blamed on
+// device 0 (the zero DeviceID) — here the one healthy device really is
+// device 0, and the stalled connection must be reported as
+// unidentified.
+func TestStalledConnectionIsUnidentified(t *testing.T) {
+	devices, _ := fedDevices(10, 2, 2, 1, 2, 8, 165)
+	srv := &Server{L: 2, Expect: 2, Seed: 1, WaitTimeout: 300 * time.Millisecond, MinClients: 1}
+	ln := &feedListener{conns: make(chan net.Conn, 2)}
+	defer close(ln.conns) // releases the acceptor once the round is over
+	healthy, healthyClient := net.Pipe()
+	stalled, stalledClient := net.Pipe()
+	defer func() { _ = stalledClient.Close() }() // it never reads or writes
+	ln.conns <- healthy
+	ln.conns <- stalled
+	clientErr := make(chan error, 1)
+	go func() {
+		_, err := RunClientDialerWire(dialConn(healthyClient), 0, devices[0], core.LocalOptions{UseEigengap: true},
+			RetryPolicy{}, WireOptions{}, rand.New(rand.NewSource(2)))
+		clientErr <- err
+	}()
+	stats, err := srv.Serve(ln)
+	if err != nil {
+		t.Fatalf("round should tolerate the stalled connection: %v", err)
+	}
+	if err := <-clientErr; err != nil {
+		t.Fatalf("healthy device: %v", err)
+	}
+	if len(stats.Failures) != 1 || !strings.HasPrefix(stats.Failures[0], "unidentified connection: ") {
+		t.Fatalf("stalled connection not reported as unidentified: %v", stats.Failures)
 	}
 }

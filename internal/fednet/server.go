@@ -1,13 +1,9 @@
 package fednet
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"sort"
-	"sync"
 	"time"
 
 	"fedsc/internal/core"
@@ -68,18 +64,18 @@ type Server struct {
 	Trace *obs.Tracer
 }
 
-// codecs resolves the advertised codec list (nil accepts everything).
-func (s *Server) codecs() []WireCodec {
-	if s.Codecs != nil {
-		return s.Codecs
+// advertised resolves a server's codec list: nil accepts every codec.
+func advertised(codecs []WireCodec) []WireCodec {
+	if codecs != nil {
+		return codecs
 	}
 	return []WireCodec{CodecQuant, CodecFloat64}
 }
 
-// reg resolves the metrics destination.
-func (s *Server) reg() *obs.Registry {
-	if s.Obs != nil {
-		return s.Obs
+// registry resolves a metrics destination: nil is obs.Default.
+func registry(r *obs.Registry) *obs.Registry {
+	if r != nil {
+		return r
 	}
 	return obs.Default()
 }
@@ -117,14 +113,6 @@ type ServeStats struct {
 	Model *core.Model
 }
 
-// clientState is one accepted connection's protocol state.
-type clientState struct {
-	conn   net.Conn
-	enc    *gob.Encoder
-	upload SampleUpload
-	err    error
-}
-
 // Serve collects uploads from s.Expect distinct devices on ln, runs the
 // central clustering, and replies to every connection with its
 // assignment slice. It returns after all replies are written; the
@@ -141,9 +129,7 @@ func (s *Server) Serve(ln net.Listener) (ServeStats, error) {
 	if s.Expect <= 0 {
 		return ServeStats{}, fmt.Errorf("fednet: server expects a positive client count, got %d", s.Expect)
 	}
-	nonce := roundNonce(s.Seed)
-	up := &countingWriter{}
-	down := &countingWriter{}
+	minClients := max(s.MinClients, 1)
 	roundStart := time.Now()
 	root := s.Trace.Start("fednet.round", obs.Int("expect", s.Expect), obs.Int("L", s.L))
 	defer root.End()
@@ -152,260 +138,45 @@ func (s *Server) Serve(ln net.Listener) (ServeStats, error) {
 	// the measured window, the defer covers the abort returns so the
 	// canonical trace is never truncated.
 	defer collect.End()
-
-	// Accept in a separate goroutine so the straggler timeout can cut the
-	// wait short; once the round proceeds, late connections are refused.
-	accepted := make(chan net.Conn)
-	acceptErrCh := make(chan error, 1)
-	doneCh := make(chan struct{})
-	acceptorDone := make(chan struct{})
-	defer func() {
-		close(doneCh)
-		// The contract leaves ln open for the caller, so the acceptor may
-		// still be blocked inside ln.Accept with no connection coming.
-		// Listeners with deadline support (TCP included) get poked awake
-		// so the goroutine provably exits with the round; the deadline is
-		// then cleared to hand the listener back unbounded.
-		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-			if d.SetDeadline(time.Now()) == nil {
-				<-acceptorDone
-			}
-			_ = d.SetDeadline(time.Time{})
-		}
-	}()
-	go func() {
-		defer close(acceptorDone)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				select {
-				case acceptErrCh <- err:
-				case <-doneCh:
-				}
-				return
-			}
-			select {
-			case accepted <- conn:
-			case <-doneCh:
-				// The round is over; a Close error on a refused late
-				// connection has no one left to report to.
-				_ = conn.Close()
-				return
-			}
-		}
-	}()
-
-	// currentDL is the deadline every open connection must carry: zero
-	// (explicitly unbounded) while collecting, the grace deadline once
-	// the straggler timer fires, and "now" when the round closes with
-	// uploads still in flight. Handlers apply it under dlMu so a
-	// deadline change by the collect loop can never be overwritten by a
-	// handler that read the older value.
-	var dlMu sync.Mutex
-	currentDL := time.Time{}
-	applyDL := func(conn net.Conn) error {
-		dlMu.Lock()
-		defer dlMu.Unlock()
-		return conn.SetDeadline(currentDL)
+	codecs := advertised(s.Codecs)
+	col := newCollector(ln, collectPolicy{
+		expect: s.Expect, wait: s.WaitTimeout,
+		grace: true, minClients: minClients,
+		codecs: codecs, maxUploadBytes: s.MaxUploadBytes,
+	})
+	defer col.close()
+	nonce := roundNonce(s.Seed)
+	rd, err := col.collect(collect, RoundHello{Nonce: nonce, Codecs: codecs}, nonce, nil)
+	if err != nil {
+		s.aborted()
+		return ServeStats{}, fmt.Errorf("fednet: %w", err)
 	}
-
-	arrivals := make(chan *clientState)
-	handle := func(c *clientState) {
-		if err := applyDL(c.conn); err != nil {
-			c.err = fmt.Errorf("fednet: set deadline: %w", err)
-			arrivals <- c
-			return
-		}
-		if err := c.enc.Encode(RoundHello{Nonce: nonce, Codecs: s.codecs()}); err != nil {
-			c.err = fmt.Errorf("fednet: send round hello: %w", err)
-			arrivals <- c
-			return
-		}
-		var r io.Reader = &countingReader{r: c.conn, counter: up}
-		var limited *io.LimitedReader
-		if s.MaxUploadBytes > 0 {
-			limited = &io.LimitedReader{R: r, N: s.MaxUploadBytes + 1}
-			r = limited
-		}
-		if err := gob.NewDecoder(r).Decode(&c.upload); err != nil {
-			if limited != nil && limited.N <= 0 {
-				c.err = fmt.Errorf("fednet: upload exceeds the %d-byte limit", s.MaxUploadBytes)
-			} else {
-				c.err = fmt.Errorf("fednet: decode upload: %w", err)
-			}
-			arrivals <- c
-			return
-		}
-		if c.upload.Nonce != nonce {
-			c.err = fmt.Errorf("fednet: device %d echoed a stale round nonce", c.upload.DeviceID)
-		} else if !codecOffered(s.codecs(), c.upload.codec()) {
-			c.err = fmt.Errorf("fednet: device %d uploaded with unadvertised codec %q", c.upload.DeviceID, c.upload.codec())
-		} else {
-			c.err = c.upload.Validate()
-		}
-		arrivals <- c
-	}
-
-	byDevice := map[int]*clientState{}
-	var failed []*clientState
-	pending := map[*clientState]bool{}
-	retries := 0
-	var timeoutCh <-chan time.Time
-	graceOn := false
-	closing := false
-	acceptCh := accepted
-	var acceptFailure error
-
-	// cut re-arms every pending connection with the (shortened) shared
-	// deadline so stalled uploads resolve instead of holding the round.
-	cut := func(dl time.Time) {
-		dlMu.Lock()
-		currentDL = dl
-		dlMu.Unlock()
-		for c := range pending {
-			if err := applyDL(c.conn); err != nil {
-				// The handler owns c until it arrives; a transport that
-				// rejects deadlines surfaces through its own decode
-				// path, so the rejection is only logged by closing.
-				_ = c.conn.Close()
-			}
-		}
-	}
-	abort := func() {
-		s.reg().Counter("fedsc_fednet_rounds_aborted_total", "Rounds aborted before the reply phase (listener death or too few devices).").Inc()
-		for _, c := range byDevice {
-			// Aborting the round: the devices see the broken pipe; their
-			// Close errors carry no additional signal.
-			_ = c.conn.Close()
-		}
-		for _, c := range failed {
-			_ = c.conn.Close()
-		}
-		for c := range pending {
-			_ = c.conn.Close()
-		}
-		for len(pending) > 0 {
-			c := <-arrivals
-			delete(pending, c)
-		}
-	}
-
-	minClients := s.MinClients
-	if minClients <= 0 {
-		minClients = 1
-	}
-	for {
-		if !closing {
-			complete := len(byDevice) >= s.Expect ||
-				(s.WaitTimeout <= 0 && len(byDevice)+len(failed) >= s.Expect)
-			if complete {
-				closing = true
-				acceptCh = nil
-				cut(time.Now())
-			} else if acceptFailure != nil && len(pending) == 0 && !graceOn {
-				// The listener died and nothing in flight can complete
-				// the round.
-				abort()
-				return ServeStats{}, fmt.Errorf("fednet: accept: %w", acceptFailure)
-			}
-		}
-		if len(pending) == 0 && (closing || graceOn) {
-			break
-		}
-		select {
-		case conn := <-acceptCh:
-			c := &clientState{conn: conn, enc: gob.NewEncoder(&countedWriter{w: conn, counter: down})}
-			pending[c] = true
-			go handle(c)
-			if s.WaitTimeout > 0 && timeoutCh == nil {
-				timeoutCh = time.After(s.WaitTimeout)
-			}
-		case c := <-arrivals:
-			delete(pending, c)
-			sp := collect.Start("upload", obs.Int("device", c.upload.DeviceID), obs.Int("attempt", c.upload.Attempt))
-			if c.err != nil {
-				sp.SetAttr("err", c.err.Error())
-			}
-			sp.End()
-			if c.err != nil {
-				failed = append(failed, c)
-				continue
-			}
-			if prev, ok := byDevice[c.upload.DeviceID]; ok {
-				// The dedup table: a re-upload replaces the earlier
-				// attempt — pooling both would corrupt the TSC q-rule
-				// and the labels. The highest attempt number wins (ties
-				// go to the newer arrival), so a slow handler delivering
-				// a dead first attempt late cannot evict the live retry.
-				stale := prev
-				if c.upload.Attempt < prev.upload.Attempt {
-					stale = c
-				} else {
-					byDevice[c.upload.DeviceID] = c
-				}
-				stale.err = fmt.Errorf("fednet: superseded by a newer upload from device %d", stale.upload.DeviceID)
-				failed = append(failed, stale)
-				retries++
-				continue
-			}
-			byDevice[c.upload.DeviceID] = c
-		case err := <-acceptErrCh:
-			acceptFailure = err
-			acceptCh = nil
-		case <-timeoutCh:
-			timeoutCh = nil
-			if len(byDevice)+len(pending) < minClients {
-				abort()
-				return ServeStats{}, fmt.Errorf("fednet: only %d of minimum %d devices connected before the straggler timeout",
-					len(byDevice)+len(pending), minClients)
-			}
-			// Give in-flight uploads a bounded grace period so a stalled
-			// device cannot hold the round hostage; retries arriving
-			// during the grace period are still admitted.
-			graceOn = true
-			cut(time.Now().Add(s.WaitTimeout))
-		}
-	}
-
 	collect.End()
+
 	// Pool the valid uploads in ascending DeviceID order, so the label
 	// vector is independent of arrival interleaving — the property the
 	// chaos replay tests pin down.
-	ids := make([]int, 0, len(byDevice))
-	for id := range byDevice {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var parts []*mat.Dense
 	offsets := map[int]int{}
 	total := 0
 	ambient := -1
 	var payloadBits int64
-	for _, id := range ids {
-		c := byDevice[id]
-		if c.upload.Cols > 0 && ambient < 0 {
-			ambient = c.upload.Rows
+	for _, id := range rd.ids() {
+		c := rd.byDevice[id]
+		u := c.upload
+		if u.Cols > 0 && ambient < 0 {
+			ambient = u.Rows
 		}
-		if c.upload.Cols > 0 && c.upload.Rows != ambient {
-			c.err = fmt.Errorf("fednet: ambient dimension %d differs from %d", c.upload.Rows, ambient)
-			failed = append(failed, c)
-			delete(byDevice, id)
-			continue
-		}
-		// Validate already checked the codec payload shape, so the
-		// decode cannot fail here; the error path still evicts the
-		// device rather than pooling a short matrix.
-		values, err := c.upload.Samples()
-		if err != nil {
-			c.err = fmt.Errorf("fednet: decode samples: %w", err)
-			failed = append(failed, c)
-			delete(byDevice, id)
+		if u.Cols > 0 && u.Rows != ambient {
+			c.err = fmt.Errorf("fednet: ambient dimension %d differs from %d", u.Rows, ambient)
+			rd.failed = append(rd.failed, c)
+			delete(rd.byDevice, id)
 			continue
 		}
 		offsets[id] = total
-		parts = append(parts, mat.NewDenseData(c.upload.Rows, c.upload.Cols, values))
-		total += c.upload.Cols
-		payloadBits += c.upload.PayloadBits()
+		parts = append(parts, mat.NewDenseData(u.Rows, u.Cols, c.values))
+		total += u.Cols
+		payloadBits += u.PayloadBits()
 	}
 	var labels []int
 	var exported *core.Model
@@ -428,98 +199,60 @@ func (s *Server) Serve(ln net.Listener) (ServeStats, error) {
 			}
 			m, err := core.BuildModel(theta, labels, s.L, s.ExportDim, method)
 			if err != nil {
-				abort()
+				rd.close()
+				s.aborted()
 				return ServeStats{}, fmt.Errorf("fednet: export model: %w", err)
 			}
 			exported = m
 		}
 	}
 	phase2.End()
+	msg := func(c *clientState) any {
+		if c.err != nil {
+			return AssignmentReply{Err: c.err.Error()}
+		}
+		off := offsets[c.upload.DeviceID]
+		return AssignmentReply{Assignments: labels[off : off+c.upload.Cols]}
+	}
 	replySpan := root.Start("reply")
-
-	// Reply to every connection — pooled devices get their assignment
-	// slice, failed and superseded connections the error — and close.
-	// Replies get a fresh write budget: the grace deadline (or the
-	// closing cut) may already be in the past.
-	replyDL := time.Time{}
-	if s.WaitTimeout > 0 {
-		replyDL = time.Now().Add(s.WaitTimeout)
-	}
-	reply := func(c *clientState, r AssignmentReply) {
-		if err := c.conn.SetDeadline(replyDL); err != nil && c.err == nil {
-			c.err = fmt.Errorf("fednet: set reply deadline for device %d: %w", c.upload.DeviceID, err)
-		}
-		if err := c.enc.Encode(r); err != nil && c.err == nil {
-			c.err = fmt.Errorf("fednet: reply to device %d: %w", c.upload.DeviceID, err)
-		}
-		if err := c.conn.Close(); err != nil && c.err == nil {
-			c.err = fmt.Errorf("fednet: close device %d: %w", c.upload.DeviceID, err)
-		}
-	}
-	// Re-read the pooled ids: an ambient mismatch above may have evicted
-	// a device after the first sweep.
-	ids = ids[:0]
-	for id := range byDevice {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		c := byDevice[id]
-		reply(c, AssignmentReply{Assignments: labels[offsets[id] : offsets[id]+c.upload.Cols]})
-	}
-	for _, c := range failed {
-		reply(c, AssignmentReply{Err: c.err.Error()})
-	}
+	col.reply(rd, msg)
 	replySpan.End()
 
 	stats := ServeStats{
-		UplinkBytes:       up.total(),
+		UplinkBytes:       col.up.Load(),
 		UplinkPayloadBits: payloadBits,
-		DownlinkBytes:     down.total(),
+		DownlinkBytes:     col.down.Load(),
 		Samples:           total,
-		Devices:           len(byDevice),
-		Retries:           retries,
+		Devices:           len(rd.byDevice),
+		Retries:           rd.retries,
+		Failures:          rd.failures(),
 		Model:             exported,
 	}
-	for _, c := range failed {
-		stats.Failures = append(stats.Failures,
-			fmt.Sprintf("device %d: %v", c.upload.DeviceID, c.err))
-	}
-	for _, id := range ids {
-		if c := byDevice[id]; c.err != nil {
-			stats.Failures = append(stats.Failures,
-				fmt.Sprintf("device %d: %v", c.upload.DeviceID, c.err))
-		}
-	}
-	// Failure arrival order depends on goroutine interleaving; sorting
-	// keeps ServeStats bit-identical across replays of a seeded round.
-	sort.Strings(stats.Failures)
 	s.publish(stats, time.Since(roundStart))
 	if s.WaitTimeout > 0 {
 		// Straggler-tolerant mode: the round succeeds as long as enough
 		// devices made it; individual failures are reported in stats.
-		if len(byDevice) < minClients {
-			return stats, fmt.Errorf("fednet: only %d of minimum %d devices uploaded successfully", len(byDevice), minClients)
+		if len(rd.byDevice) < minClients {
+			return stats, fmt.Errorf("fednet: only %d of minimum %d devices uploaded successfully", len(rd.byDevice), minClients)
 		}
 		return stats, nil
 	}
-	if len(failed) > 0 {
-		c := failed[0]
-		return stats, fmt.Errorf("fednet: device %d failed: %w", c.upload.DeviceID, c.err)
-	}
-	for _, id := range ids {
-		if c := byDevice[id]; c.err != nil {
-			return stats, fmt.Errorf("fednet: device %d failed: %w", c.upload.DeviceID, c.err)
-		}
+	if l := rd.losers(); len(l) > 0 {
+		return stats, fmt.Errorf("fednet: %s failed: %w", l[0].who(), l[0].err)
 	}
 	return stats, nil
+}
+
+// aborted counts a round that never reached the reply phase.
+func (s *Server) aborted() {
+	registry(s.Obs).Counter("fedsc_fednet_rounds_aborted_total", "Rounds aborted before the reply phase (listener death or too few devices).").Inc()
 }
 
 // publish pushes one completed round's wire totals into the metrics
 // registry. Aborted rounds (listener death, too few devices) never
 // reach it; they only bump fedsc_fednet_rounds_aborted_total.
 func (s *Server) publish(stats ServeStats, elapsed time.Duration) {
-	reg := s.reg()
+	reg := registry(s.Obs)
 	reg.Counter("fedsc_fednet_rounds_total", "Aggregation rounds that reached the reply phase.").Inc()
 	reg.Counter("fedsc_fednet_uplink_bytes_total", "Gob-encoded upload bytes received, including aborted partial attempts.").Add(stats.UplinkBytes)
 	reg.Counter("fedsc_fednet_uplink_payload_bits_total", "Section IV-E payload bits pooled (values x bits-per-value under the negotiated codec).").Add(stats.UplinkPayloadBits)
@@ -533,43 +266,3 @@ func (s *Server) publish(stats ServeStats, elapsed time.Duration) {
 	reg.Histogram("fedsc_fednet_round_seconds", "Wall time of a full aggregation round.",
 		[]float64{0.001, 0.01, 0.1, 1, 10, 60}).Observe(elapsed.Seconds())
 }
-
-// ServeConns is Serve for pre-established connections (e.g. net.Pipe in
-// tests or in-process deployments); it behaves identically but skips the
-// listener.
-func (s *Server) ServeConns(conns []net.Conn) (ServeStats, error) {
-	ln := &staticListener{conns: conns}
-	saved := s.Expect
-	if s.Expect == 0 {
-		s.Expect = len(conns)
-	}
-	stats, err := s.Serve(ln)
-	s.Expect = saved
-	return stats, err
-}
-
-// staticListener hands out a fixed set of connections.
-type staticListener struct {
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func (l *staticListener) Accept() (net.Conn, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.conns) == 0 {
-		return nil, io.EOF
-	}
-	c := l.conns[0]
-	l.conns = l.conns[1:]
-	return c, nil
-}
-
-func (l *staticListener) Close() error { return nil }
-
-func (l *staticListener) Addr() net.Addr { return staticAddr{} }
-
-type staticAddr struct{}
-
-func (staticAddr) Network() string { return "static" }
-func (staticAddr) String() string  { return "static" }

@@ -110,72 +110,6 @@ func (s *ADMMSolver) Solve(b []float64, lambda float64, banned []int) []float64 
 	return z
 }
 
-// BasisPursuit solves the noiseless SSC subproblem (Eq. 1 of the paper):
-//
-//	min ‖c‖₁  s.t.  Xc = y
-//
-// by ADMM on the equality-constrained form. x is the dictionary (columns
-// unit-norm), banned indices are pinned to zero. It requires
-// rows(X) <= cols(X) with XXᵀ invertible (the usual SSC regime where the
-// dictionary is overcomplete for the subspace).
-func BasisPursuit(x *mat.Dense, y []float64, banned []int, opts ADMMOptions) []float64 {
-	opts = opts.withDefaults()
-	m, n := x.Dims()
-	isBanned := make([]bool, n)
-	for _, i := range banned {
-		isBanned[i] = true
-	}
-	// Projection onto {c : Xc = y}: c - Xᵀ(XXᵀ)⁻¹(Xc - y).
-	xxt := mat.MulBT(x, x)
-	for i := 0; i < m; i++ {
-		xxt.Add(i, i, 1e-10) // regularize near-singular XXᵀ
-	}
-	chol := cholesky(xxt)
-	c := make([]float64, n)
-	z := make([]float64, n)
-	u := make([]float64, n)
-	tmp := make([]float64, m)
-	for it := 0; it < opts.MaxIter; it++ {
-		// c-update: project (z - u) onto the constraint set.
-		for i := 0; i < n; i++ {
-			c[i] = z[i] - u[i]
-		}
-		res := mat.MulVec(x, c)
-		for i := 0; i < m; i++ {
-			res[i] -= y[i]
-		}
-		cholSolve(chol, res, tmp)
-		corr := mat.MulTVec(x, tmp)
-		for i := 0; i < n; i++ {
-			c[i] -= corr[i]
-		}
-		// z-update: soft threshold with weight 1/ρ.
-		zMove, consensus := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			var nz float64
-			if !isBanned[i] {
-				nz = SoftThreshold(c[i]+u[i], 1/opts.Rho)
-			}
-			if d := math.Abs(nz - z[i]); d > zMove {
-				zMove = d
-			}
-			z[i] = nz
-			r := c[i] - z[i]
-			u[i] += r
-			if a := math.Abs(r); a > consensus {
-				consensus = a
-			}
-		}
-		// Converged only when the two primal blocks agree (c is feasible
-		// by construction, so c ≈ z means z is near-feasible too) and z
-		// has stopped moving.
-		if zMove < opts.AbsTol && consensus < opts.AbsTol*10 {
-			break
-		}
-	}
-	return z
-}
-
 // cholesky returns the lower-triangular Cholesky factor of the symmetric
 // positive-definite matrix a.
 func cholesky(a *mat.Dense) *mat.Dense {

@@ -89,44 +89,6 @@ func signOf(v float64) float64 {
 	return 1
 }
 
-func TestBasisPursuitExactRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(213))
-	// y is an exact sparse combination; BP must reproduce it exactly
-	// (noiseless SSC, Eq. 1 of the paper).
-	n, cols := 12, 30
-	x := mat.RandomGaussian(n, cols, rng)
-	mat.NormalizeColumns(x)
-	y := make([]float64, n)
-	mat.Axpy(1.2, x.Col(4, nil), y)
-	mat.Axpy(-0.7, x.Col(21, nil), y)
-	c := BasisPursuit(x, y, nil, ADMMOptions{MaxIter: 4000, AbsTol: 1e-9})
-	// Constraint satisfied.
-	fit := mat.MulVec(x, c)
-	if d := mat.Norm2(mat.Sub(y, fit, nil)); d > 1e-5 {
-		t.Fatalf("constraint violated: ‖Xc−y‖ = %v", d)
-	}
-	// ℓ1 norm no larger than the planted solution's.
-	if mat.Norm1(c) > 1.2+0.7+1e-3 {
-		t.Fatalf("BP ℓ1 %v exceeds planted %v", mat.Norm1(c), 1.9)
-	}
-}
-
-func TestBasisPursuitBanned(t *testing.T) {
-	rng := rand.New(rand.NewSource(214))
-	n, cols := 10, 25
-	x := mat.RandomGaussian(n, cols, rng)
-	mat.NormalizeColumns(x)
-	y := x.Col(6, nil)
-	c := BasisPursuit(x, y, []int{6}, ADMMOptions{MaxIter: 4000})
-	if c[6] != 0 {
-		t.Fatalf("banned coefficient selected: %v", c[6])
-	}
-	fit := mat.MulVec(x, c)
-	if d := mat.Norm2(mat.Sub(y, fit, nil)); d > 1e-4 {
-		t.Fatalf("constraint violated with ban: %v", d)
-	}
-}
-
 func TestCholeskyFactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(215))
 	g := mat.RandomGaussian(8, 8, rng)

@@ -229,8 +229,8 @@ func FedSCRoundUnderLatency(b *testing.B) {
 			wg.Add(1)
 			go func(dev int) {
 				defer wg.Done()
-				_, err := fednet.RunClientDialer(sched.Dialer(dev, pn.Dial), dev, devices[dev],
-					core.LocalOptions{UseEigengap: true}, policy,
+				_, err := fednet.RunClientDialerWire(sched.Dialer(dev, pn.Dial), dev, devices[dev],
+					core.LocalOptions{UseEigengap: true}, policy, fednet.WireOptions{},
 					rand.New(rand.NewSource(int64(100*i+dev))))
 				if err != nil {
 					b.Errorf("iteration %d device %d: %v", i, dev, err)

@@ -11,14 +11,12 @@ import (
 // Solver selects the optimizer behind the SSC self-expression step.
 type Solver string
 
-// The three solvers for the SSC subproblem. The paper implements Eq. (2)
-// with SPAMS (coordinate descent here plays that role) and cites ADMM as
-// the alternative it replaced; Eq. (1) is the noiseless basis-pursuit
-// variant.
+// The two solvers for the SSC subproblem (Eq. 2). The paper implements
+// it with SPAMS (coordinate descent here plays that role) and cites ADMM
+// as the alternative it replaced.
 const (
-	SolverCD           Solver = "cd"   // coordinate descent (default)
-	SolverADMM         Solver = "admm" // ADMM on the Lasso form
-	SolverBasisPursuit Solver = "bp"   // noiseless: min ‖c‖₁ s.t. Xc = x
+	SolverCD   Solver = "cd"   // coordinate descent (default)
+	SolverADMM Solver = "admm" // ADMM on the Lasso form
 )
 
 // SSCOptions configures sparse subspace clustering.
@@ -31,12 +29,11 @@ type SSCOptions struct {
 	// (default 1e-8).
 	DropTol float64
 	// Which optimizer solves the self-expression problem (default
-	// SolverCD). SolverBasisPursuit ignores Alpha: it solves the exact
-	// Eq. (1) program and should only be used on noiseless data.
+	// SolverCD).
 	Which Solver
 	// Solver tunes the coordinate-descent Lasso (SolverCD).
 	Solver lasso.Options
-	// ADMM tunes the ADMM-based solvers (SolverADMM, SolverBasisPursuit).
+	// ADMM tunes the ADMM solver (SolverADMM).
 	ADMM lasso.ADMMOptions
 }
 
@@ -69,13 +66,7 @@ func SSCCoefficients(x *mat.Dense, opts SSCOptions) [][]float64 {
 		admm = lasso.NewADMMSolver(g, opts.ADMM)
 	}
 	mat.Parallel(n, n*n*64, func(lo, hi int) {
-		col := make([]float64, xn.Rows())
 		for i := lo; i < hi; i++ {
-			if opts.Which == SolverBasisPursuit {
-				xn.Col(i, col)
-				coef[i] = lasso.BasisPursuit(xn, col, []int{i}, opts.ADMM)
-				continue
-			}
 			b := g.Row(i) // Xᵀxᵢ is the i-th row of the Gram matrix
 			mu := 0.0
 			for j, v := range b {

@@ -65,15 +65,6 @@ func TestSSCADMMSolverMatchesCD(t *testing.T) {
 	}
 }
 
-func TestSSCBasisPursuitNoiseless(t *testing.T) {
-	// Eq. (1): exact-constraint basis pursuit on clean data.
-	ds, rng := testData(15, 2, 3, 15, 114)
-	res := SSC(ds.X, 3, rng, SSCOptions{Which: SolverBasisPursuit})
-	if acc := metrics.Accuracy(ds.Labels, res.Labels); acc < 95 {
-		t.Fatalf("basis-pursuit SSC accuracy %.1f%%", acc)
-	}
-}
-
 func TestTSCRecoversCleanSubspaces(t *testing.T) {
 	ds, rng := testData(20, 3, 4, 40, 104)
 	res := TSC(ds.X, 4, rng, TSCOptions{Q: 5})
