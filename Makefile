@@ -4,9 +4,9 @@ GO ?= go
 # Label naming the machine-readable benchmark report (BENCH_<label>.json).
 BENCH_LABEL ?= local
 
-.PHONY: check fmt vet build test race lint chaos load fleet bench-module bench bench-json bench-gate
+.PHONY: check fmt vet build test race lint chaos fleet bench-module bench bench-json bench-gate
 
-check: fmt vet lint build race chaos load fleet bench-module
+check: fmt vet lint build race chaos fleet bench-module
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -38,12 +38,6 @@ lint: vet
 # round via retry + straggler tolerance and replay bit-identically.
 chaos:
 	$(GO) run ./cmd/fedsc-chaos -schedule all
-
-# Serving smoke: self-host a two-model artifact store, ramp load against
-# it, and verify the serving contract (both models answer routed
-# assigns; an oversized burst is shed with 429, never a timeout).
-load:
-	$(GO) run ./cmd/fedsc-load -self -ramp 1,4 -stage 500ms
 
 # Continuous-federation smoke: replay the churn scenario (absorb wave,
 # two splice waves, forced rollback, re-churn) and fail if the final

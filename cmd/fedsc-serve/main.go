@@ -1,23 +1,13 @@
 // Command fedsc-serve is the online inference tier of the Fed-SC stack:
 // it serves "which cluster does this point belong to?" queries over HTTP
-// against model artifacts a completed one-shot round produced.
+// against the model artifacts of a content-addressed artifact store.
+// The training binaries deploy into that store with -store (`fedsc
+// -store`, `fedsc-server -store`); fedsc-serve serves every manifest
+// model, /v1/assign routes by the request's "model" field and
+// /v1/reload hot-deploys manifest changes:
 //
-// Serve a single artifact file (written by `fedsc -save`, `fedsc-server
-// -save` or a previous `fedsc-serve -train`):
-//
-//	fedsc-serve -addr :8080 -model round.fedsc
-//
-// Serve every model of a content-addressed artifact store (written by
-// the `-store` flag on the training binaries); /v1/assign routes by the
-// request's "model" field and /v1/reload hot-deploys manifest changes:
-//
+//	fedsc-server -addr :7070 -clients 8 -L 20 -store ./models -tag cohort-a
 //	fedsc-serve -addr :8080 -store ./models
-//
-// Or run a federated round first (the server side of the one-shot
-// protocol, pair with cmd/fedsc-client) and serve its result:
-//
-//	fedsc-serve -addr :8080 -train -fed-addr :7070 -clients 8 -L 20 \
-//	    -store ./models -tag cohort-a
 //
 // Endpoints: POST /v1/assign (single point or batch, optional model
 // routing), GET /v1/models, POST /v1/reload, GET /healthz, GET /metrics
@@ -40,8 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"fedsc/internal/core"
-	"fedsc/internal/fednet"
 	"fedsc/internal/obs"
 	"fedsc/internal/serve"
 	"fedsc/internal/store"
@@ -50,17 +38,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		model     = flag.String("model", "", "single model artifact file to serve")
 		storeDir  = flag.String("store", "", "content-addressed artifact store to serve (all manifest models)")
-		tag       = flag.String("tag", "round", "manifest name for the trained artifact (with -train -store)")
-		train     = flag.Bool("train", false, "run a federated round first and serve its result")
-		fedAddr   = flag.String("fed-addr", ":7070", "federated-round listen address (with -train)")
-		clients   = flag.Int("clients", 4, "devices to wait for (with -train)")
-		l         = flag.Int("L", 20, "number of global clusters (with -train)")
-		central   = flag.String("central", "ssc", "central clustering: ssc or tsc (with -train)")
-		seed      = flag.Int64("seed", 1, "server random seed (with -train)")
-		targetDim = flag.String("dim", "auto", "per-cluster basis dimension: auto or an integer (with -train)")
-		save      = flag.String("save", "", "also save the trained artifact to this file (with -train)")
 		maxBatch  = flag.Int("batch", 64, "max points scored as one blocked batch")
 		batchWait = flag.Duration("batch-wait", 200*time.Microsecond, "how long to hold an underfull batch open")
 		workers   = flag.Int("workers", 0, "batch workers (0 = GOMAXPROCS)")
@@ -70,95 +48,37 @@ func main() {
 	)
 	flag.Parse()
 
-	if *model != "" && *storeDir != "" {
-		fatalf("-model and -store are mutually exclusive")
+	if *storeDir == "" {
+		fatalf("need -store <dir> (see -h)")
 	}
-	if *model != "" && *train {
-		fatalf("-model and -train are mutually exclusive")
-	}
-
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		if st, err = store.Open(*storeDir); err != nil {
-			fatalf("%v", err)
-		}
+	st, err := store.Open(*storeDir)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if *debugAddr != "" {
-		var extra []obs.DebugEndpoint
-		if st != nil {
-			extra = append(extra, obs.DebugEndpoint{Pattern: "/storez", Handler: storezHandler(st)})
-		}
-		dbg, err := obs.ServeDebug(*debugAddr, obs.Default(), nil, extra...)
+		storez := obs.DebugEndpoint{Pattern: "/storez", Handler: storezHandler(st)}
+		dbg, err := obs.ServeDebug(*debugAddr, obs.Default(), nil, storez)
 		if err != nil {
 			fatalf("debug listener: %v", err)
 		}
-		endpoints := "/metrics and /debug/pprof/"
-		if st != nil {
-			endpoints += " and /storez"
-		}
-		log.Printf("fedsc-serve: debug endpoints on http://%s%s", dbg, " "+endpoints)
+		log.Printf("fedsc-serve: debug endpoints on http://%s/metrics, /debug/pprof/ and /storez", dbg)
 	}
 
 	reg := serve.NewRegistry()
-	if *train {
-		m, err := trainRound(*fedAddr, *clients, *l, *central, *seed, *targetDim)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *save != "" {
-			if err := m.Save(*save); err != nil {
-				fatalf("%v", err)
-			}
-			log.Printf("fedsc-serve: saved artifact to %s", *save)
-		}
-		switch {
-		case st != nil:
-			digest, err := st.PutTagged(*tag, m)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			log.Printf("fedsc-serve: stored artifact %s as %q in %s", digest[:12], *tag, *storeDir)
-		case *save != "":
-			if err := reg.LoadFile(*save); err != nil {
-				fatalf("%v", err)
-			}
-		default:
-			if err := reg.SetModel(fmt.Sprintf("round-%d", time.Now().Unix()), m); err != nil {
-				fatalf("%v", err)
-			}
-		}
+	names, err := reg.UseStore(st)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	switch {
-	case st != nil:
-		names, err := reg.UseStore(st)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if len(names) == 0 {
-			log.Printf("fedsc-serve: store %s has no models yet; unhealthy until a deploy + /v1/reload", *storeDir)
-		} else {
-			log.Printf("fedsc-serve: serving %d models from %s: %s",
-				len(names), *storeDir, strings.Join(names, ", "))
-		}
-	case *model != "":
-		if err := reg.LoadFile(*model); err != nil {
-			fatalf("%v", err)
-		}
-		cur := reg.Current()
-		log.Printf("fedsc-serve: loaded %s (L=%d, ambient=%d, method=%s, created %s)",
-			cur.Name, cur.Model.L, cur.Model.Ambient, cur.Model.Method,
-			cur.Model.Created().Format(time.RFC3339))
-	case *train:
-		// Registry already populated above.
-	default:
-		fatalf("need -model <artifact>, -store <dir> or -train (see -h)")
+	if len(names) == 0 {
+		log.Printf("fedsc-serve: store %s has no models yet; unhealthy until a deploy + /v1/reload", *storeDir)
+	} else {
+		log.Printf("fedsc-serve: serving %d models from %s: %s",
+			len(names), *storeDir, strings.Join(names, ", "))
 	}
 
-	// Publish the serving metrics on the process-wide registry so one
-	// scrape of -debug-addr (or the handler's own /metrics) shows the
-	// serve counters next to the fednet/core round metrics.
+	// Publish the serving metrics on the process-wide registry so the
+	// -debug-addr scrape and the handler's own /metrics agree.
 	metrics := serve.NewMetricsOn(obs.Default())
 	batcher := serve.NewBatcher(reg, metrics, serve.BatcherOptions{
 		MaxBatch: *maxBatch,
@@ -202,48 +122,6 @@ func storezHandler(st *store.Store) http.Handler {
 		// means the client hung up, and there is no channel left to tell it.
 		_ = enc.Encode(resp)
 	})
-}
-
-// trainRound runs the server side of one federated round and returns the
-// exported serving artifact.
-func trainRound(addr string, clients, l int, central string, seed int64, dim string) (*core.Model, error) {
-	method := core.CentralSSC
-	switch central {
-	case "ssc":
-	case "tsc":
-		method = core.CentralTSC
-	default:
-		return nil, fmt.Errorf("unknown central method %q", central)
-	}
-	exportDim := 0
-	if dim != "auto" {
-		if _, err := fmt.Sscanf(dim, "%d", &exportDim); err != nil || exportDim <= 0 {
-			return nil, fmt.Errorf("-dim must be auto or a positive integer, got %q", dim)
-		}
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("listen %s: %w", addr, err)
-	}
-	defer func() { _ = ln.Close() }()
-	log.Printf("fedsc-serve: waiting for %d devices on %s (L=%d, central=%s)", clients, ln.Addr(), l, central)
-	srv := &fednet.Server{
-		L:       l,
-		Expect:  clients,
-		Central: core.CentralOptions{Method: method},
-		Seed:    seed,
-		Export:  true, ExportDim: exportDim,
-	}
-	stats, err := srv.Serve(ln)
-	if err != nil {
-		return nil, err
-	}
-	if stats.Model == nil {
-		return nil, fmt.Errorf("round completed without pooling any samples")
-	}
-	log.Printf("fedsc-serve: round complete — %d samples from %d devices, %d uplink bytes",
-		stats.Samples, stats.Devices, stats.UplinkBytes)
-	return stats.Model, nil
 }
 
 func fatalf(format string, args ...any) {

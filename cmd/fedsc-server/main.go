@@ -5,12 +5,16 @@
 //
 // Usage:
 //
-//	fedsc-server -addr :7070 -clients 8 -L 20 [-central ssc|tsc]
+//	fedsc-server -addr :7070 -clients 8 -L 20 [-central ssc|tsc] [-store ./models -tag cohort-a]
 //	fedsc-server -addr :7070 -clients 4 -dsvd -dsvd-k 3 -ambient 20
 //
 // With -dsvd the server instead coordinates a distributed dominant SVD
 // (internal/dsvd): devices keep their raw column blocks and upload only
 // n×k subspace projections each iteration.
+//
+// With -store the round's serving artifact is deployed into the
+// content-addressed store under -tag, where cmd/fedsc-serve -store
+// serves it (POST /v1/reload picks it up on a running server).
 //
 // Pair with cmd/fedsc-client.
 package main
@@ -40,7 +44,6 @@ func main() {
 		sketch    = flag.Int("sketch", 0, "Phase 2 ambient sketch size s (0 = no sketch)")
 		sketchK   = flag.String("sketch-kind", "gaussian", "Phase 2 sketch operator: gaussian | rows")
 		seed      = flag.Int64("seed", 1, "server random seed")
-		save      = flag.String("save", "", "save the serving artifact here after the round")
 		storeDir  = flag.String("store", "", "deploy the serving artifact into this content-addressed store")
 		tag       = flag.String("tag", "round", "manifest name for the artifact (with -store)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (empty = disabled)")
@@ -111,7 +114,7 @@ func main() {
 			SketchKind: mat.SketchKind(*sketchK),
 		},
 		Seed:   *seed,
-		Export: *save != "" || *storeDir != "",
+		Export: *storeDir != "",
 	}
 	stats, err := srv.Serve(ln)
 	if err != nil {
@@ -119,26 +122,18 @@ func main() {
 	}
 	fmt.Printf("round complete: %d samples pooled, %d uplink bytes\n",
 		stats.Samples, stats.UplinkBytes)
-	if *save != "" || *storeDir != "" {
+	if *storeDir != "" {
 		if stats.Model == nil {
-			log.Fatalf("fedsc-server: round pooled no samples, nothing to save")
+			log.Fatalf("fedsc-server: round pooled no samples, nothing to deploy")
 		}
-		if *save != "" {
-			if err := stats.Model.Save(*save); err != nil {
-				log.Fatalf("fedsc-server: save model: %v", err)
-			}
-			fmt.Printf("saved serving artifact to %s\n", *save)
+		st, err := store.Open(*storeDir)
+		if err != nil {
+			log.Fatalf("fedsc-server: %v", err)
 		}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir)
-			if err != nil {
-				log.Fatalf("fedsc-server: %v", err)
-			}
-			digest, err := st.PutTagged(*tag, stats.Model)
-			if err != nil {
-				log.Fatalf("fedsc-server: store model: %v", err)
-			}
-			fmt.Printf("deployed artifact %s as %q in %s\n", digest[:12], *tag, *storeDir)
+		digest, err := st.PutTagged(*tag, stats.Model)
+		if err != nil {
+			log.Fatalf("fedsc-server: store model: %v", err)
 		}
+		fmt.Printf("deployed artifact %s as %q in %s\n", digest[:12], *tag, *storeDir)
 	}
 }

@@ -41,14 +41,13 @@ func main() {
 		sketch   = flag.Int("sketch", 0, "Phase 2 ambient sketch size s (0 = no sketch)")
 		sketchK  = flag.String("sketch-kind", "gaussian", "Phase 2 sketch operator: gaussian | rows")
 		seed     = flag.Int64("seed", 1, "random seed")
-		save     = flag.String("save", "", "save the serving artifact here (fedsc-ssc/fedsc-tsc only)")
 		storeDir = flag.String("store", "", "deploy the serving artifact into this content-addressed store (fedsc-ssc/fedsc-tsc only)")
 		tag      = flag.String("tag", "round", "manifest name for the artifact (with -store)")
 		trace    = flag.String("trace", "", "write the round's span tree as canonical JSONL here and render a waterfall (fedsc-ssc/fedsc-tsc only)")
 	)
 	flag.Parse()
-	if (*save != "" || *storeDir != "") && *method != "fedsc-ssc" && *method != "fedsc-tsc" {
-		fatalf("-save/-store require -method fedsc-ssc or fedsc-tsc (got %q)", *method)
+	if *storeDir != "" && *method != "fedsc-ssc" && *method != "fedsc-tsc" {
+		fatalf("-store requires -method fedsc-ssc or fedsc-tsc (got %q)", *method)
 	}
 	if *trace != "" && *method != "fedsc-ssc" && *method != "fedsc-tsc" {
 		fatalf("-trace requires -method fedsc-ssc or fedsc-tsc (got %q)", *method)
@@ -138,28 +137,20 @@ func main() {
 				fatalf("write trace: %v", err)
 			}
 		}
-		if *save != "" || *storeDir != "" {
+		if *storeDir != "" {
 			model, err := core.ModelFromResult(res, numClusters, 0, m)
 			if err != nil {
 				fatalf("build model: %v", err)
 			}
-			if *save != "" {
-				if err := model.Save(*save); err != nil {
-					fatalf("save model: %v", err)
-				}
-				fmt.Printf("saved serving artifact to %s\n", *save)
+			st, err := store.Open(*storeDir)
+			if err != nil {
+				fatalf("%v", err)
 			}
-			if *storeDir != "" {
-				st, err := store.Open(*storeDir)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				digest, err := st.PutTagged(*tag, model)
-				if err != nil {
-					fatalf("store model: %v", err)
-				}
-				fmt.Printf("deployed artifact %s as %q in %s\n", digest[:12], *tag, *storeDir)
+			digest, err := st.PutTagged(*tag, model)
+			if err != nil {
+				fatalf("store model: %v", err)
 			}
+			fmt.Printf("deployed artifact %s as %q in %s\n", digest[:12], *tag, *storeDir)
 		}
 	case "kfed", "kfed-pca10", "kfed-pca100":
 		pcaDim := map[string]int{"kfed": 0, "kfed-pca10": 10, "kfed-pca100": 100}[*method]

@@ -38,7 +38,7 @@ var CtxDeadline = &Analyzer{
 
 // deadlinePackages are the import-path suffixes the rule binds;
 // "ctxdeadline" admits the fixture package.
-var deadlinePackages = []string{"internal/fednet", "internal/serve", "internal/chaos", "internal/store", "cmd/fedsc-load", "ctxdeadline"}
+var deadlinePackages = []string{"internal/fednet", "internal/serve", "internal/chaos", "internal/store", "ctxdeadline"}
 
 // ioWrappers maps package path → constructor/function names that take
 // ownership of a conn's I/O.

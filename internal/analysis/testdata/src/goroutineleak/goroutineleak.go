@@ -99,7 +99,7 @@ func GoodWaitGroup() {
 	wg.Wait()
 }
 
-// GoodBufferedHandoff is the fixed fedsc-load shape: the buffered send
+// GoodBufferedHandoff is the fixed self-hosted-server shape: the buffered send
 // completes without a reader, so Serve returning ends the goroutine.
 func GoodBufferedHandoff(run func() error) {
 	errCh := make(chan error, 1)

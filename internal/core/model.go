@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"time"
 
 	"fedsc/internal/mat"
@@ -40,7 +37,7 @@ type ClusterBasis struct {
 // ‖x − U Uᵀx‖ over the stored bases — the standard out-of-sample rule
 // for subspace models.
 type Model struct {
-	// Version is the artifact format version (ModelVersion at save time).
+	// Version is the artifact format version (ModelVersion when built).
 	Version int
 	// Ambient is the data dimension n every basis lives in.
 	Ambient int
@@ -50,11 +47,11 @@ type Model struct {
 	// Method records the Phase 2 algorithm that produced the labels
 	// ("ssc" or "tsc"); informational.
 	Method string
-	// CreatedUnixNano is the artifact creation time (UnixNano). Save
+	// CreatedUnixNano is the artifact creation time (UnixNano). Seal
 	// stamps it when zero.
 	CreatedUnixNano int64
 	// Checksum is the SHA-256 digest of the payload fields (everything
-	// except the checksum itself); Load verifies it.
+	// except the checksum itself); DecodeModel verifies it.
 	Checksum [sha256.Size]byte
 }
 
@@ -84,8 +81,8 @@ func (m *Model) checksum() [sha256.Size]byte {
 	return sum
 }
 
-// Seal stamps the creation time (when unset) and checksum; Save calls it
-// automatically.
+// Seal stamps the creation time (when unset) and checksum; Encode calls
+// it automatically.
 func (m *Model) Seal() {
 	if m.CreatedUnixNano == 0 {
 		m.CreatedUnixNano = time.Now().UnixNano()
@@ -149,44 +146,6 @@ func DecodeModel(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	return &m, nil
-}
-
-// Save writes the artifact atomically (temp file + rename), so a reader
-// polling the path for hot reload never observes a partial artifact.
-func (m *Model) Save(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".fedsc-model-*")
-	if err != nil {
-		return fmt.Errorf("core: save model: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("core: save model: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: save model: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("core: save model: %w", err)
-	}
-	return nil
-}
-
-// LoadModel reads and validates a model artifact from disk.
-func LoadModel(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: load model: %w", err)
-	}
-	// Read-only descriptor: Close cannot lose data.
-	defer func() { _ = f.Close() }()
-	return DecodeModel(f)
 }
 
 // GlobalBases estimates, for each global cluster in [0, l), an

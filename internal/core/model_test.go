@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"fedsc/internal/core"
@@ -78,7 +76,7 @@ func TestAggregateExposesGlobalBases(t *testing.T) {
 	}
 }
 
-func TestModelSaveLoadRoundTrip(t *testing.T) {
+func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 	_, res, l := runSynthetic(t, 42)
 	m, err := core.ModelFromResult(res, l, 0, core.CentralSSC)
 	if err != nil {
@@ -87,13 +85,13 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("fresh model invalid: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "model.fedsc")
-	if err := m.Save(path); err != nil {
-		t.Fatalf("save: %v", err)
+	var buf bytes.Buffer
+	if err := m.Encode(&buf); err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	got, err := core.LoadModel(path)
+	got, err := core.DecodeModel(&buf)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if got.Ambient != m.Ambient || got.L != m.L || got.Method != m.Method {
 		t.Fatalf("metadata changed in round trip: %+v vs %+v", got, m)
@@ -106,32 +104,6 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		if !mat.Equalish(a[g], b[g], 0) {
 			t.Fatalf("basis %d changed in round trip", g)
 		}
-	}
-}
-
-func TestLoadModelRejectsCorruption(t *testing.T) {
-	_, res, l := runSynthetic(t, 43)
-	m, err := core.ModelFromResult(res, l, 0, core.CentralTSC)
-	if err != nil {
-		t.Fatalf("ModelFromResult: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "model.fedsc")
-	if err := m.Save(path); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	// Flip one basis float in the stored artifact: the checksum must
-	// catch it. Gob stores the float bytes verbatim, so corrupt a byte
-	// late in the file (inside the basis payload).
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	raw[len(raw)-10] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := core.LoadModel(path); err == nil {
-		t.Fatal("corrupted artifact loaded cleanly")
 	}
 }
 

@@ -49,11 +49,9 @@ type Server struct {
 	// per-global-cluster subspace bases estimated from the pooled
 	// samples) after the central clustering and returns it in
 	// ServeStats.Model — the bridge from a one-shot round to the
-	// inference tier (internal/serve).
+	// inference tier (internal/serve). Each cluster's basis dimension is
+	// estimated from its pooled spectrum.
 	Export bool
-	// ExportDim forces the per-cluster basis dimension of the exported
-	// model (the paper's d_t shortcut); zero estimates it per cluster.
-	ExportDim int
 	// Obs receives the wire metrics of every round (uplink/downlink
 	// bytes, retries, supersedes, round latency); nil publishes to the
 	// process-wide obs.Default registry.
@@ -197,7 +195,7 @@ func (s *Server) Serve(ln net.Listener) (ServeStats, error) {
 			if method == "" {
 				method = core.CentralSSC
 			}
-			m, err := core.BuildModel(theta, labels, s.L, s.ExportDim, method)
+			m, err := core.BuildModel(theta, labels, s.L, 0, method)
 			if err != nil {
 				rd.close()
 				s.aborted()

@@ -54,7 +54,7 @@ func TestModelsExposeDigestAcrossRollback(t *testing.T) {
 	if digest2 == digest1 {
 		t.Fatal("test models collide")
 	}
-	if _, err := reg.SyncStore(); err != nil {
+	if _, err := reg.Reload(); err != nil {
 		t.Fatalf("sync after roll-forward: %v", err)
 	}
 	if got := activeDigest(); got != digest2 {
@@ -66,7 +66,7 @@ func TestModelsExposeDigestAcrossRollback(t *testing.T) {
 	if err := st.Tag("fleet", digest1); err != nil {
 		t.Fatalf("rollback tag: %v", err)
 	}
-	if _, err := reg.SyncStore(); err != nil {
+	if _, err := reg.Reload(); err != nil {
 		t.Fatalf("sync after rollback: %v", err)
 	}
 	if got := activeDigest(); got != digest1 {

@@ -39,14 +39,15 @@ type errorResponse struct {
 //	POST /v1/assign   assign one point or a batch by minimum residual,
 //	                  optionally routed to a named model
 //	GET  /v1/models   list loaded model artifacts
-//	POST /v1/reload   re-sync from the artifact store (or re-read the
-//	                  single artifact file) and hot-swap changed models
+//	POST /v1/reload   re-sync from the artifact store and hot-swap
+//	                  changed models
 //	GET  /healthz     readiness (200 once a model is loaded)
 //	GET  /metrics     Prometheus text metrics
 //
 // Admission control: when the batcher's bounded queue is full, assign
 // answers 429 immediately — saturation sheds load instead of growing
-// latency without bound.
+// latency without bound. A body too large to ever be admitted is
+// refused with 413 before it is decoded (see maxAssignBody).
 type Handler struct {
 	reg     *Registry
 	batcher *Batcher
@@ -68,6 +69,23 @@ func NewHandler(reg *Registry, batcher *Batcher, metrics *Metrics) *Handler {
 
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
+// An /v1/assign body may spend bytesPerFloat bytes on each coordinate
+// (digits, sign, exponent, separator, whitespace) and bodyFraming
+// bytes on its keys, model name and outer brackets.
+const (
+	bytesPerFloat = 32
+	bodyFraming   = 1 << 10
+)
+
+// maxAssignBody bounds an /v1/assign body by what could ever be
+// admitted: at most the batcher's MaxQueue points, each no wider than
+// the widest served model (plus one float's worth for its brackets).
+// A larger body is refused with 413 before the decoder allocates it.
+func (h *Handler) maxAssignBody() int64 {
+	perPoint := int64(h.reg.maxAmbient()+1) * bytesPerFloat
+	return int64(h.batcher.opts.MaxQueue)*perPoint + bodyFraming
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -85,7 +103,14 @@ func (h *Handler) assign(w http.ResponseWriter, r *http.Request) {
 	failed := true
 	defer func() { done(failed) }()
 	var req AssignRequest
+	r.Body = http.MaxBytesReader(w, r.Body, h.maxAssignBody())
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorResponse{Error: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
@@ -181,6 +206,11 @@ func (h *Handler) prometheus(w http.ResponseWriter, r *http.Request) {
 	h.metrics.WritePrometheus(w)
 }
 
+// readHeaderTimeout is how long Serve waits for a client to finish its
+// request headers before closing the connection, so a stalled client
+// cannot hold a connection forever.
+const readHeaderTimeout = 10 * time.Second
+
 // Serve runs the HTTP server on ln until ctx is cancelled, then shuts it
 // down gracefully (in-flight requests get up to grace to finish; zero
 // means 5s) and stops the batcher. It returns nil on a clean shutdown.
@@ -188,7 +218,7 @@ func Serve(ctx context.Context, ln net.Listener, h *Handler, grace time.Duration
 	if grace <= 0 {
 		grace = 5 * time.Second
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	select {

@@ -8,11 +8,13 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"fedsc/internal/core"
+	"fedsc/internal/store"
 )
 
 // startServer runs the full stack (registry already populated) on a real
@@ -72,20 +74,31 @@ func postJSON(t *testing.T, url string, body any, out any) (int, string) {
 	return resp.StatusCode, string(data)
 }
 
-// TestEndToEndServeMatchesOfflineLabels is the acceptance path: train
-// Fed-SC on synthetic data, save the artifact, serve it from disk on a
-// loopback listener, POST the training points to /v1/assign, and demand
-// the returned labels equal the offline Result labels exactly.
-func TestEndToEndServeMatchesOfflineLabels(t *testing.T) {
-	devices, res, m := trainModel(t, 71)
-	path := filepath.Join(t.TempDir(), "model.fedsc")
-	if err := m.Save(path); err != nil {
-		t.Fatalf("save: %v", err)
+// storeRegistry deploys m into a fresh artifact store under tag and
+// returns the store and a registry bound to it.
+func storeRegistry(t *testing.T, tag string, m *core.Model) (*store.Store, *Registry) {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	if _, err := st.PutTagged(tag, m); err != nil {
+		t.Fatalf("put: %v", err)
 	}
 	reg := NewRegistry()
-	if err := reg.LoadFile(path); err != nil {
-		t.Fatalf("load: %v", err)
+	if _, err := reg.UseStore(st); err != nil {
+		t.Fatalf("use store: %v", err)
 	}
+	return st, reg
+}
+
+// TestEndToEndServeMatchesOfflineLabels is the acceptance path: train
+// Fed-SC on synthetic data, deploy the artifact into a store, serve it
+// on a loopback listener, POST the training points to /v1/assign, and
+// demand the returned labels equal the offline Result labels exactly.
+func TestEndToEndServeMatchesOfflineLabels(t *testing.T) {
+	devices, res, m := trainModel(t, 71)
+	_, reg := storeRegistry(t, "round", m)
 	base, stop := startServer(t, reg)
 	defer stop()
 
@@ -149,7 +162,7 @@ func TestEndToEndServeMatchesOfflineLabels(t *testing.T) {
 	if !strings.Contains(text, wantReq) {
 		t.Fatalf("metrics missing %q:\n%s", wantReq, text)
 	}
-	wantAssigned := fmt.Sprintf("fedsc_serve_assignments_total{model=%q} %d", path, total)
+	wantAssigned := fmt.Sprintf("fedsc_serve_assignments_total{model=%q} %d", "round", total)
 	if !strings.Contains(text, wantAssigned) {
 		t.Fatalf("metrics missing %q:\n%s", wantAssigned, text)
 	}
@@ -193,14 +206,18 @@ func metricValue(t *testing.T, text, name string) int64 {
 // Afterwards the metrics must be internally consistent.
 func TestConcurrentLoadDuringHotReload(t *testing.T) {
 	devices, res, m := trainModel(t, 72)
-	path := filepath.Join(t.TempDir(), "model.fedsc")
-	if err := m.Save(path); err != nil {
-		t.Fatalf("save: %v", err)
+	st, reg := storeRegistry(t, "round", m)
+	// A second artifact with the same bases but another creation time:
+	// a different digest that labels every point identically, so each
+	// retag is a real redeploy.
+	m2 := *m
+	m2.CreatedUnixNano++
+	m2.Seal()
+	digest2, err := st.Put(&m2)
+	if err != nil {
+		t.Fatalf("put: %v", err)
 	}
-	reg := NewRegistry()
-	if err := reg.LoadFile(path); err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	digests := [2]string{store.Digest(m), digest2}
 	base, stop := startServer(t, reg)
 	defer stop()
 
@@ -246,20 +263,29 @@ func TestConcurrentLoadDuringHotReload(t *testing.T) {
 			}
 		}(g)
 	}
-	// Hot-reload the artifact from disk while the load is in flight.
+	// Redeploy (retag + /v1/reload) while the load is in flight.
 	reloadDone := make(chan struct{})
 	go func() {
 		defer close(reloadDone)
 		for i := 0; i < 20; i++ {
+			if err := st.Tag("round", digests[(i+1)%2]); err != nil {
+				t.Errorf("retag: %v", err)
+				return
+			}
 			resp, err := http.Post(base+"/v1/reload", "application/json", nil)
 			if err != nil {
 				t.Errorf("reload: %v", err)
 				return
 			}
-			io.Copy(io.Discard, resp.Body)
+			var out ReloadResponse
+			err = json.NewDecoder(resp.Body).Decode(&out)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("reload status %d", resp.StatusCode)
+			if resp.StatusCode != http.StatusOK || err != nil {
+				t.Errorf("reload status %d: %v", resp.StatusCode, err)
+				return
+			}
+			if len(out.Changed) != 1 || out.Changed[0] != "round" {
+				t.Errorf("reload %d changed %v, want [round]", i, out.Changed)
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -352,7 +378,7 @@ func TestAssignBadRequests(t *testing.T) {
 			t.Fatalf("GET %s: status %d, want 405", path, resp.StatusCode)
 		}
 	}
-	// Reload without a file-backed registry must fail cleanly.
+	// Reload without a bound store must fail cleanly.
 	resp, err := http.Post(base+"/v1/reload", "application/json", nil)
 	if err != nil {
 		t.Fatalf("reload: %v", err)
@@ -360,7 +386,85 @@ func TestAssignBadRequests(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("reload without path: status %d, want 500", resp.StatusCode)
+		t.Fatalf("reload without store: status %d, want 500", resp.StatusCode)
+	}
+}
+
+// TestAssignOversizedBodyIs413: a body larger than any request the
+// batcher could admit (MaxQueue points of the widest served model) is
+// refused with 413 while it is read, instead of being decoded in full
+// and only then shed with 429.
+func TestAssignOversizedBodyIs413(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	if _, err := st.PutTagged("alpha", axisModel(t, []int{0, 1})); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	_, metrics, base, stop := startStoreServer(t, st, BatcherOptions{MaxBatch: 4, MaxQueue: 8, MaxWait: -1})
+	defer stop()
+
+	// About 40 KB of well-formed JSON against a limit of
+	// 8 points · (4+1) floats · 32 bytes + 1 KiB of framing.
+	big := make([][]float64, 4096)
+	for i := range big {
+		big[i] = axisPoint(i % 2)
+	}
+	raw, err := json.Marshal(AssignRequest{Points: big})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	resp, err := http.Post(base+"/v1/assign", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("oversized post: %v", err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body (%d bytes): status %d, want 413", len(raw), resp.StatusCode)
+	}
+	if metrics.Shed() != 0 {
+		t.Fatalf("oversized body reached admission control (shed %d)", metrics.Shed())
+	}
+
+	// A request that fits still answers.
+	var out AssignResponse
+	if status, body := postJSON(t, base+"/v1/assign", AssignRequest{Point: axisPoint(1)}, &out); status != http.StatusOK {
+		t.Fatalf("assign after 413: %d %s", status, body)
+	}
+	if out.Assignments[0].Label != 1 {
+		t.Fatalf("label %d, want 1", out.Assignments[0].Label)
+	}
+}
+
+// TestServeClosesStalledHeaders: a client that sends part of a request
+// line and then stalls must not hold its connection forever; Serve
+// closes it once readHeaderTimeout has passed.
+func TestServeClosesStalledHeaders(t *testing.T) {
+	t.Parallel() // waits out readHeaderTimeout
+	base, stop := startServer(t, NewRegistry())
+	defer stop()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatalf("set deadline: %v", err)
+	}
+	// The server may write an error status before closing; either way
+	// the read must end at EOF, not at the client's own deadline.
+	start := time.Now()
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("stalled connection not closed by the server (read %q): %v", reply, err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %s, before the header timeout: %q", waited, reply)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // batch in flight keeps scoring against the snapshot it started with
 // even while a reload lands.
 type Snapshot struct {
-	// Name identifies the model: a manifest entry, artifact filename, or
-	// a caller-supplied tag.
+	// Name identifies the model: a manifest entry or a caller-supplied
+	// tag.
 	Name     string
 	Engine   *Engine
 	Model    *core.Model
@@ -60,13 +60,16 @@ const historyCap = 32
 type modelSet struct {
 	def    string
 	byName map[string]*Snapshot
+	// maxAmbient is the widest served model's ambient dimension; it
+	// sizes the /v1/assign body limit.
+	maxAmbient int
 }
 
 var emptySet = &modelSet{byName: map[string]*Snapshot{}}
 
 // Registry holds the served models and the history of loads. Readers
 // (the batcher workers) take the current model set with a single atomic
-// pointer load per batch; writers (reloads, store syncs) build new
+// pointer load per batch; writers (SetModel, Reload) build new
 // engines off to the side and swap the whole set atomically — a hot
 // deploy never blocks serving.
 type Registry struct {
@@ -74,8 +77,7 @@ type Registry struct {
 	nextSeq atomic.Uint64
 
 	mu      sync.Mutex
-	path    string       // single-artifact path for Reload; may be empty
-	st      *store.Store // manifest-driven mode; may be nil
+	st      *store.Store // bound by UseStore; nil until then
 	history []ModelInfo
 }
 
@@ -115,6 +117,10 @@ func (r *Registry) Names() []string {
 	return names
 }
 
+// maxAmbient returns the widest served model's ambient dimension, or
+// zero before the first load.
+func (r *Registry) maxAmbient() int { return r.set.Load().maxAmbient }
+
 // newSnapshot builds the engine for m under the next sequence number.
 func (r *Registry) newSnapshot(name string, m *core.Model) (*Snapshot, error) {
 	eng, err := NewEngine(m)
@@ -150,6 +156,9 @@ func (r *Registry) swapLocked(mutate func(set *modelSet)) {
 			sort.Strings(names)
 			next.def = names[0]
 		}
+	}
+	for _, snap := range next.byName {
+		next.maxAmbient = max(next.maxAmbient, snap.Model.Ambient)
 	}
 	r.set.Store(next)
 }
@@ -217,44 +226,28 @@ func checksumHex(m *core.Model) string {
 	return fmt.Sprintf("%x", m.Checksum[:8])
 }
 
-// LoadFile loads a model artifact from disk and makes it current; the
-// path is remembered so Reload can re-read it later.
-func (r *Registry) LoadFile(path string) error {
-	m, err := core.LoadModel(path)
-	if err != nil {
-		return err
-	}
-	if err := r.SetModel(path, m); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.path = path
-	r.mu.Unlock()
-	return nil
-}
-
 // UseStore binds the registry to a content-addressed artifact store
-// and loads every manifest entry. From then on Reload (and SyncStore)
-// polls the manifest: added or retagged names get fresh engines,
+// and loads every manifest entry. From then on Reload polls the
+// manifest: added or retagged names get fresh engines,
 // removed names stop being served, and the manifest default becomes
 // the default route.
 func (r *Registry) UseStore(st *store.Store) ([]string, error) {
 	r.mu.Lock()
 	r.st = st
 	r.mu.Unlock()
-	return r.SyncStore()
+	return r.Reload()
 }
 
-// SyncStore re-reads the bound store's manifest and reconciles the
+// Reload re-reads the bound store's manifest and reconciles the
 // served set against it, returning the names that changed (loaded,
 // replaced, or removed) in sorted order. Engines are built before the
 // swap, so readers always resolve against a complete set; a batch in
 // flight finishes on the snapshot it resolved.
-func (r *Registry) SyncStore() ([]string, error) {
+func (r *Registry) Reload() ([]string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.st == nil {
-		return nil, fmt.Errorf("serve: no store bound (LoadFile mode)")
+		return nil, fmt.Errorf("serve: no store bound for reload")
 	}
 	if _, err := r.st.Sync(); err != nil {
 		return nil, err
@@ -307,26 +300,6 @@ func (r *Registry) SyncStore() ([]string, error) {
 	}
 	sort.Strings(changed)
 	return changed, nil
-}
-
-// Reload refreshes the served set from its backing storage: in store
-// mode it reconciles against the manifest (SyncStore); in single-file
-// mode it re-reads the artifact path of the last LoadFile. It fails
-// when the registry was populated via SetModel only.
-func (r *Registry) Reload() ([]string, error) {
-	r.mu.Lock()
-	st, path := r.st, r.path
-	r.mu.Unlock()
-	if st != nil {
-		return r.SyncStore()
-	}
-	if path == "" {
-		return nil, fmt.Errorf("serve: no artifact path or store configured for reload")
-	}
-	if err := r.LoadFile(path); err != nil {
-		return nil, err
-	}
-	return []string{path}, nil
 }
 
 // Models lists the retained loads in order (most recent historyCap),

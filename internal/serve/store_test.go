@@ -39,7 +39,7 @@ func axisPoint(axis int) []float64 {
 
 // TestRegistryUseStoreRoutesAllManifestEntries: binding a registry to a
 // two-model store must serve both names, route the default, and follow
-// manifest changes (retag, untag, default move) through SyncStore.
+// manifest changes (retag, untag, default move) through Reload.
 func TestRegistryUseStoreRoutesAllManifestEntries(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -97,7 +97,7 @@ func TestRegistryUseStoreRoutesAllManifestEntries(t *testing.T) {
 	if err := st.SetDefault("beta"); err != nil {
 		t.Fatalf("set default: %v", err)
 	}
-	changed, err = reg.SyncStore()
+	changed, err = reg.Reload()
 	if err != nil {
 		t.Fatalf("sync: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestRegistryUseStoreRoutesAllManifestEntries(t *testing.T) {
 	}
 	// A no-op sync reports no changes and allocates no new snapshots.
 	seqBefore := reg.Get("beta").Seq
-	if changed, err := reg.SyncStore(); err != nil || len(changed) != 0 {
+	if changed, err := reg.Reload(); err != nil || len(changed) != 0 {
 		t.Fatalf("idle sync: changed=%v err=%v", changed, err)
 	}
 	if reg.Get("beta").Seq != seqBefore {
@@ -127,7 +127,7 @@ func TestRegistryUseStoreRoutesAllManifestEntries(t *testing.T) {
 	if err := st.Untag("alpha"); err != nil {
 		t.Fatalf("untag: %v", err)
 	}
-	if changed, err := reg.SyncStore(); err != nil || len(changed) != 1 || changed[0] != "alpha" {
+	if changed, err := reg.Reload(); err != nil || len(changed) != 1 || changed[0] != "alpha" {
 		t.Fatalf("sync after untag: changed=%v err=%v", changed, err)
 	}
 	if reg.Get("alpha") != nil {

@@ -244,7 +244,13 @@ func (s *Store) Get(digest string) (*core.Model, error) {
 	if !validDigest(digest) {
 		return nil, fmt.Errorf("store: get: malformed digest %q", digest)
 	}
-	m, err := core.LoadModel(s.blobPath(digest))
+	f, err := os.Open(s.blobPath(digest))
+	if err != nil {
+		return nil, fmt.Errorf("store: get %s: %w", digest, err)
+	}
+	// Read-only descriptor: Close cannot lose data.
+	defer func() { _ = f.Close() }()
+	m, err := core.DecodeModel(f)
 	if err != nil {
 		return nil, fmt.Errorf("store: get %s: %w", digest, err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -280,6 +281,38 @@ func TestGetDetectsMisfiledBlob(t *testing.T) {
 	}
 	if _, err := s.Get(wrong); err == nil {
 		t.Fatal("misfiled blob loaded without error")
+	}
+}
+
+// TestGetRejectsFlippedPayloadByte: one flipped bit inside a stored
+// basis float must fail Get on the model checksum, not load a silently
+// different model.
+func TestGetRejectsFlippedPayloadByte(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	digest, err := s.Put(testModel(t, 0))
+	if err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	raw, err := os.ReadFile(s.blobPath(digest))
+	if err != nil {
+		t.Fatalf("read blob: %v", err)
+	}
+	// Gob writes a float64 byte-reversed, so each basis entry 1.0
+	// (0x3ff0000000000000) is stored as the bytes f0 3f.
+	i := bytes.Index(raw, []byte{0xf0, 0x3f})
+	if i < 0 {
+		t.Fatal("no basis float found in blob")
+	}
+	raw[i] ^= 0x01
+	if err := os.WriteFile(s.blobPath(digest), raw, 0o644); err != nil {
+		t.Fatalf("write blob: %v", err)
+	}
+	_, err = s.Get(digest)
+	if err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("get of corrupted blob: %v, want checksum mismatch", err)
 	}
 }
 
