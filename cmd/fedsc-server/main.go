@@ -29,7 +29,6 @@ import (
 	"fedsc/internal/core"
 	"fedsc/internal/dsvd"
 	"fedsc/internal/fednet"
-	"fedsc/internal/mat"
 	"fedsc/internal/obs"
 	"fedsc/internal/store"
 )
@@ -42,7 +41,6 @@ func main() {
 		central   = flag.String("central", "ssc", "central clustering: ssc or tsc")
 		shards    = flag.Int("shards", 0, "Phase 2 shard count (0/1 = exact single-pass central clustering)")
 		sketch    = flag.Int("sketch", 0, "Phase 2 ambient sketch size s (0 = no sketch)")
-		sketchK   = flag.String("sketch-kind", "gaussian", "Phase 2 sketch operator: gaussian | rows")
 		seed      = flag.Int64("seed", 1, "server random seed")
 		storeDir  = flag.String("store", "", "deploy the serving artifact into this content-addressed store")
 		tag       = flag.String("tag", "round", "manifest name for the artifact (with -store)")
@@ -111,7 +109,6 @@ func main() {
 			Method:     method,
 			Shards:     *shards,
 			SketchSize: *sketch,
-			SketchKind: mat.SketchKind(*sketchK),
 		},
 		Seed:   *seed,
 		Export: *storeDir != "",

@@ -39,7 +39,6 @@ func main() {
 		noise    = flag.Float64("noise", 0, "channel-noise δ for Fed-SC uploads")
 		shards   = flag.Int("shards", 0, "Phase 2 shard count (0/1 = exact single-pass central clustering)")
 		sketch   = flag.Int("sketch", 0, "Phase 2 ambient sketch size s (0 = no sketch)")
-		sketchK  = flag.String("sketch-kind", "gaussian", "Phase 2 sketch operator: gaussian | rows")
 		seed     = flag.Int64("seed", 1, "random seed")
 		storeDir = flag.String("store", "", "deploy the serving artifact into this content-addressed store (fedsc-ssc/fedsc-tsc only)")
 		tag      = flag.String("tag", "round", "manifest name for the artifact (with -store)")
@@ -124,7 +123,6 @@ func main() {
 				Method:     m,
 				Shards:     *shards,
 				SketchSize: *sketch,
-				SketchKind: mat.SketchKind(*sketchK),
 			},
 			NoiseDelta: *noise,
 			Trace:      tracer,

@@ -50,9 +50,6 @@ type LocalOptions struct {
 	// uses d_t = 1 for the real-world datasets). Zero estimates d_t from
 	// the cluster's numerical rank.
 	TargetDim int
-	// RankTol is the relative singular-value cutoff for the rank
-	// estimate (default 1e-6).
-	RankTol float64
 	// SamplesPerCluster is the number of random samples uploaded per
 	// local cluster. The paper uploads exactly one (default); larger
 	// values are the redundancy ablation.
@@ -60,9 +57,6 @@ type LocalOptions struct {
 }
 
 func (o LocalOptions) withDefaults() LocalOptions {
-	if o.RankTol <= 0 {
-		o.RankTol = 1e-6
-	}
 	if o.SamplesPerCluster <= 0 {
 		o.SamplesPerCluster = 1
 	}
@@ -80,9 +74,6 @@ type CentralOptions struct {
 	Method CentralMethod
 	// SSC tunes the server-side SSC when Method is CentralSSC.
 	SSC subspace.SSCOptions
-	// TSCQ overrides the TSC neighbor count; zero applies the paper's
-	// federated rule q = max(3, ⌈Z/L⌉).
-	TSCQ int
 	// Shards splits the pooled matrix into this many round-robin column
 	// shards, solved concurrently and merged by subspace affinity
 	// (see internal/core/shard.go). 0 or 1 runs the exact single-pass
@@ -90,12 +81,10 @@ type CentralOptions struct {
 	// clamped so every shard keeps at least L columns.
 	Shards int
 	// SketchSize, when positive and below the ambient dimension,
-	// row-compresses the pooled matrix to this many rows (mat.Sketch)
-	// before the solver runs. 0 disables sketching.
+	// row-compresses the pooled matrix to this many rows with a Gaussian
+	// JL projection (mat.Sketch) before the solver runs. 0 disables
+	// sketching.
 	SketchSize int
-	// SketchKind selects the sketch operator; empty means the Gaussian
-	// JL projection (mat.SketchGaussianKind).
-	SketchKind mat.SketchKind
 }
 
 // Options configures a full Fed-SC run.
@@ -164,6 +153,10 @@ type LocalResult struct {
 	Samples *mat.Dense
 	// Dims[t] is the estimated dimension d_t of local cluster t.
 	Dims []int
+	// Bases[t] is the orthonormal n x Dims[t] basis of local cluster t
+	// that its samples were drawn from: the truncated SVD of the
+	// cluster's member columns.
+	Bases []*mat.Dense
 	// Elapsed is the wall time Phase 1 took on this device.
 	Elapsed time.Duration
 }
@@ -179,24 +172,35 @@ func (lr LocalResult) Relabel(assignments []int, spc, points int) (labels, clust
 	labels = make([]int, points)
 	clusterLabels = make([]int, lr.R())
 	for t, idx := range lr.Partitions {
-		votes := make(map[int]int, spc)
-		for s := 0; s < spc; s++ {
-			votes[assignments[t*spc+s]]++
-		}
-		best, bestN := 0, -1
-		for lab, n := range votes {
-			// Lowest label wins ties so the majority vote never depends
-			// on map iteration order.
-			if n > bestN || (n == bestN && lab < best) {
-				best, bestN = lab, n
-			}
-		}
+		best := Vote(assignments[t*spc : (t+1)*spc])
 		clusterLabels[t] = best
 		for _, i := range idx {
 			labels[i] = best
 		}
 	}
 	return labels, clusterLabels
+}
+
+// Vote is the majority vote that turns a local cluster's sample labels
+// into the cluster's one label: the most frequent label wins, and the
+// lowest label wins a tie, so the outcome never depends on iteration
+// order. An empty vote returns 0.
+func Vote(labels []int) int {
+	best, bestN := 0, -1
+	for i, lab := range labels {
+		// Counting from the first occurrence onwards sees every copy;
+		// later occurrences count fewer and never win.
+		n := 0
+		for _, other := range labels[i:] {
+			if other == lab {
+				n++
+			}
+		}
+		if n > bestN || (n == bestN && lab < best) {
+			best, bestN = lab, n
+		}
+	}
+	return best
 }
 
 // Result is the outcome of a full Fed-SC run.

@@ -220,18 +220,6 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestGlobalLabels(t *testing.T) {
-	labels := [][]int{{1, 2}, {3}}
-	points := [][]int{{2, 0}, {1}}
-	got := GlobalLabels(labels, points, 3)
-	want := []int{2, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GlobalLabels = %v want %v", got, want)
-		}
-	}
-}
-
 func TestBitsFor(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 100: 7}
 	for l, want := range cases {
@@ -272,33 +260,6 @@ func TestFlattenLabelsEdgeCases(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("FlattenLabels = %v want %v", got, want)
 		}
-	}
-}
-
-func TestGlobalLabelsEdgeCases(t *testing.T) {
-	// Zero devices: every point keeps the zero label.
-	got := GlobalLabels(nil, nil, 3)
-	if len(got) != 3 {
-		t.Fatalf("GlobalLabels(nil) has %d entries, want 3", len(got))
-	}
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("GlobalLabels(nil)[%d] = %d", i, v)
-		}
-	}
-	// A device with zero points, plus ragged per-device sizes.
-	labels := [][]int{{7, 8}, {}, {9, 4, 5}}
-	points := [][]int{{4, 0}, {}, {1, 3, 2}}
-	got = GlobalLabels(labels, points, 5)
-	want := []int{8, 9, 5, 4, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GlobalLabels = %v want %v", got, want)
-		}
-	}
-	// n = 0 with no devices.
-	if got := GlobalLabels([][]int{}, [][]int{}, 0); len(got) != 0 {
-		t.Fatalf("GlobalLabels(0 points) = %v", got)
 	}
 }
 
@@ -364,6 +325,57 @@ func TestRunDistributedBasesRefinement(t *testing.T) {
 	for g := 0; g < l; g++ {
 		if !reflect.DeepEqual(res.GlobalBases[g].Data(), replay.GlobalBases[g].Data()) {
 			t.Fatalf("cluster %d refined basis not bit-identical across seeded replays", g)
+		}
+	}
+}
+
+// TestLocalBasesAreClusterSVDs pins the basis reuse fleet relies on: on
+// the eigengap, fixed-r and TargetDim paths, LocalResult.Bases[t] is bit
+// for bit the truncated SVD of cluster t's member columns at Dims[t].
+func TestLocalBasesAreClusterSVDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(160))
+	s := synth.RandomSubspaces(40, 3, 3, rng)
+	x := s.Sample(30, rng).X
+	for _, tc := range []struct {
+		name string
+		opts LocalOptions
+	}{
+		{"eigengap", LocalOptions{UseEigengap: true}},
+		{"fixed r", LocalOptions{RMax: 3}},
+		{"target dim", LocalOptions{RMax: 3, TargetDim: 1, SamplesPerCluster: 2}},
+	} {
+		lr := LocalClusterAndSample(x, tc.opts, rand.New(rand.NewSource(161)))
+		if len(lr.Bases) != lr.R() {
+			t.Fatalf("%s: %d bases for %d clusters", tc.name, len(lr.Bases), lr.R())
+		}
+		for c, idx := range lr.Partitions {
+			want, _ := mat.TruncatedSVD(x.SelectCols(idx), lr.Dims[c])
+			got := lr.Bases[c]
+			if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+				t.Fatalf("%s: cluster %d basis is %dx%d, want %dx%d", tc.name, c, got.Rows(), got.Cols(), want.Rows(), want.Cols())
+			}
+			for i, v := range want.Data() {
+				if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+					t.Fatalf("%s: cluster %d basis differs from its truncated SVD at %d", tc.name, c, i)
+				}
+			}
+		}
+	}
+}
+
+func TestVote(t *testing.T) {
+	for _, tc := range []struct {
+		labels []int
+		want   int
+	}{
+		{nil, 0},
+		{[]int{4}, 4},
+		{[]int{3, 1, 3}, 3},
+		{[]int{1, 0, 1, 0}, 0}, // a tie goes to the lowest label
+		{[]int{2, 2, 5, 1, 1, 1}, 1},
+	} {
+		if got := Vote(tc.labels); got != tc.want {
+			t.Fatalf("Vote(%v) = %d, want %d", tc.labels, got, tc.want)
 		}
 	}
 }

@@ -9,6 +9,10 @@ import (
 	"fedsc/internal/subspace"
 )
 
+// rankTol is the relative singular-value cutoff below which a cluster's
+// spectrum counts as decayed when its dimension d_t is estimated.
+const rankTol = 1e-6
+
 // LocalClusterAndSample runs Algorithm 2 on one device's data x (columns
 // are points): SSC self-expression, eigengap (or capped) estimation of
 // the number of local clusters, spectral segmentation, per-cluster basis
@@ -58,10 +62,11 @@ func LocalClusterAndSample(x *mat.Dense, opts LocalOptions, rng *rand.Rand) Loca
 	r := len(partitions)
 	samples := mat.NewDense(n, r*opts.SamplesPerCluster)
 	dims := make([]int, r)
+	bases := make([]*mat.Dense, r)
 	for t, idx := range partitions {
 		sub := x.SelectCols(idx)
-		basis, dt := clusterBasis(sub, opts)
-		dims[t] = dt
+		basis, dt := clusterBasis(sub, opts.TargetDim)
+		dims[t], bases[t] = dt, basis
 		for s := 0; s < opts.SamplesPerCluster; s++ {
 			theta := sampleFromBasis(basis, rng)
 			samples.SetCol(t*opts.SamplesPerCluster+s, theta)
@@ -71,6 +76,7 @@ func LocalClusterAndSample(x *mat.Dense, opts LocalOptions, rng *rand.Rand) Loca
 		Partitions: partitions,
 		Samples:    samples,
 		Dims:       dims,
+		Bases:      bases,
 		Elapsed:    time.Since(start),
 	}
 }
@@ -82,19 +88,19 @@ func LocalClusterAndSample(x *mat.Dense, opts LocalOptions, rng *rand.Rand) Loca
 // values-only factorization — whose spectrum both drives the gap estimate
 // and replaces the separate rank factorization the flat-spectrum fallback
 // used to pay for — before the truncated solve recovers the basis.
-func clusterBasis(sub *mat.Dense, opts LocalOptions) (*mat.Dense, int) {
+func clusterBasis(sub *mat.Dense, targetDim int) (*mat.Dense, int) {
 	n, cols := sub.Dims()
 	maxDim := n
 	if cols < maxDim {
 		maxDim = cols
 	}
-	d := opts.TargetDim
+	d := targetDim
 	if d > 0 {
 		if d > maxDim {
 			d = maxDim
 		}
 	} else {
-		d = dimFromSpectrum(mat.SingularValues(sub), maxDim, opts)
+		d = dimFromSpectrum(mat.SingularValues(sub), maxDim)
 	}
 	basis, _ := mat.TruncatedSVD(sub, d)
 	return basis, d
@@ -104,19 +110,19 @@ func clusterBasis(sub *mat.Dense, opts LocalOptions) (*mat.Dense, int) {
 // singular-value spectrum (sorted descending). It detects the numerical
 // rank by the largest multiplicative gap — robust to the noise floor real
 // data puts under the true subspace spectrum (a fixed tolerance would
-// read the noise as extra dimensions). RankTol only marks where the
+// read the noise as extra dimensions). rankTol only marks where the
 // spectrum has decayed to negligible.
-func dimFromSpectrum(s []float64, maxDim int, opts LocalOptions) int {
+func dimFromSpectrum(s []float64, maxDim int) int {
 	if len(s) == 0 || s[0] <= 0 {
 		return 1
 	}
 	best, bestRatio := 1, 0.0
 	for i := 0; i < len(s)-1 && i < maxDim; i++ {
-		if s[i] <= opts.RankTol*s[0] {
+		if s[i] <= rankTol*s[0] {
 			break
 		}
 		next := s[i+1]
-		if next <= opts.RankTol*s[0] {
+		if next <= rankTol*s[0] {
 			// Spectrum ends here: exact rank i+1.
 			return i + 1
 		}

@@ -171,7 +171,7 @@ func GlobalBases(theta *mat.Dense, labels []int, l, targetDim int) ([]*mat.Dense
 			continue
 		}
 		sub := theta.SelectCols(members[g])
-		basis, _ := clusterBasis(sub, LocalOptions{TargetDim: targetDim}.withDefaults())
+		basis, _ := clusterBasis(sub, targetDim)
 		bases[g] = basis
 		dims[g] = basis.Cols()
 	}
@@ -198,19 +198,7 @@ func BuildModel(theta *mat.Dense, labels []int, l, targetDim int, method Central
 			counts[g]++
 		}
 	}
-	m := &Model{
-		Version: ModelVersion,
-		Ambient: theta.Rows(),
-		L:       l,
-		Method:  string(method),
-	}
-	for g, b := range bases {
-		data := make([]float64, len(b.Data()))
-		copy(data, b.Data())
-		m.Clusters = append(m.Clusters, ClusterBasis{Dim: b.Cols(), Data: data, Samples: counts[g]})
-	}
-	m.Seal()
-	return m, nil
+	return ModelFromBases(theta.Rows(), bases, counts, method)
 }
 
 // ModelFromBases packs already-estimated orthonormal cluster bases into

@@ -24,22 +24,7 @@ func Run(devices []*mat.Dense, l int, opts Options, rng *rand.Rand) Result {
 	z := len(devices)
 	root := opts.Trace.Start("fedsc.round", obs.Int("devices", z), obs.Int("L", l))
 	defer root.End()
-	// Phase 1: local clustering and sampling on every device.
-	phase1 := root.Start("phase1.local")
-	locals := make([]LocalResult, z)
-	seeds := make([]int64, z)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	mat.Parallel(z, 1<<30, func(lo, hi int) {
-		for dev := lo; dev < hi; dev++ {
-			ds := phase1.Start("device.local", obs.Int("device", dev))
-			locals[dev] = LocalClusterAndSample(devices[dev], opts.Local, rand.New(rand.NewSource(seeds[dev])))
-			ds.SetAttr("r", strconv.Itoa(locals[dev].R()))
-			ds.End()
-		}
-	})
-	phase1.End()
+	locals := LocalPhase(root, devices, opts.Local, rng)
 	// Upload path: DP release, then quantization, then channel noise —
 	// the order a real deployment would apply them in.
 	release := root.Start("upload.release")
@@ -65,6 +50,31 @@ func Run(devices []*mat.Dense, l int, opts Options, rng *rand.Rand) Result {
 	}
 	release.End()
 	return aggregate(root, devices, locals, l, opts, rng)
+}
+
+// LocalPhase is Phase 1 on every device: Algorithm 2 runs concurrently
+// across devices, each under its own seed. The seeds are drawn from rng
+// in device order before any device starts, so the result is a pure
+// function of rng's state however the devices are scheduled. The phase
+// is traced as a phase1.local span under parent with one device.local
+// child per device.
+func LocalPhase(parent *obs.Span, devices []*mat.Dense, opts LocalOptions, rng *rand.Rand) []LocalResult {
+	span := parent.Start("phase1.local")
+	defer span.End()
+	locals := make([]LocalResult, len(devices))
+	seeds := make([]int64, len(devices))
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	mat.Parallel(len(devices), 1<<30, func(lo, hi int) {
+		for dev := lo; dev < hi; dev++ {
+			ds := span.Start("device.local", obs.Int("device", dev))
+			locals[dev] = LocalClusterAndSample(devices[dev], opts, rand.New(rand.NewSource(seeds[dev])))
+			ds.SetAttr("r", strconv.Itoa(locals[dev].R()))
+			ds.End()
+		}
+	})
+	return locals
 }
 
 // Aggregate performs Phases 2 and 3 given every device's Phase 1 output:
@@ -163,23 +173,34 @@ func aggregate(parent *obs.Span, devices []*mat.Dense, locals []LocalResult, l i
 	export.End()
 	if opts.DistributedBases {
 		refine := parent.Start("export.refine", obs.Int("clusters", l))
-		refineBasesDistributed(devices, res.Labels, res.GlobalBases, res.GlobalDims, opts, rng)
+		members := make([][][]int, l)
+		for g := range members {
+			members[g] = make([][]int, z)
+		}
+		for dev, labels := range res.Labels {
+			for i, g := range labels {
+				members[g][dev] = append(members[g][dev], i)
+			}
+		}
+		RefineBases(devices, members, res.GlobalBases, dsvd.Options{Obs: opts.Obs, Trace: opts.Trace}, rng)
 		refine.End()
 	}
 	publishRound(opts.reg(), res, total)
 	return res
 }
 
-// refineBasesDistributed re-estimates each global cluster's exported
-// basis by a distributed dominant SVD over the devices' raw columns
-// assigned to that cluster (Options.DistributedBases): per iteration a
-// device contributes only its n×k projection of the shared iterate, so
-// the refined basis is fit to every point of the cluster while no raw
-// column ever leaves its device. Clusters that received no points, or
-// whose estimated dimension is zero, keep the sample-based basis.
-// Per-cluster seeds are drawn up front so the rng stream does not
-// depend on which clusters are skipped.
-func refineBasesDistributed(devices []*mat.Dense, labels [][]int, bases []*mat.Dense, dims []int, opts Options, rng *rand.Rand) {
+// RefineBases re-estimates cluster bases by a distributed dominant SVD
+// (internal/dsvd) over the devices' raw member columns: members[g][z]
+// lists device z's columns in cluster g, in the order they enter the
+// device's block. Per iteration a device contributes only its n×k
+// projection of the shared iterate, so the refined basis is fit to
+// every point of the cluster while no raw column leaves its device.
+// bases[g] is replaced in place, with k its column count capped by the
+// member count; a cluster without members or with an empty basis keeps
+// its basis. Per-cluster seeds are drawn from rng up front, so the rng
+// stream does not depend on which clusters are skipped. opts supplies
+// everything but K and Seed.
+func RefineBases(devices []*mat.Dense, members [][][]int, bases []*mat.Dense, opts dsvd.Options, rng *rand.Rand) {
 	seeds := make([]int64, len(bases))
 	for g := range seeds {
 		seeds[g] = rng.Int63()
@@ -188,25 +209,17 @@ func refineBasesDistributed(devices []*mat.Dense, labels [][]int, bases []*mat.D
 		blocks := make([]*mat.Dense, len(devices))
 		total := 0
 		for z, dev := range devices {
-			var idx []int
-			for i, lab := range labels[z] {
-				if lab == g {
-					idx = append(idx, i)
-				}
-			}
-			blocks[z] = dev.SelectCols(idx)
-			total += len(idx)
+			blocks[z] = dev.SelectCols(members[g][z])
+			total += len(members[g][z])
 		}
-		k := dims[g]
-		if k > total {
-			k = total
-		}
-		if k <= 0 {
+		opts.K = min(bases[g].Cols(), total)
+		if opts.K <= 0 {
 			continue
 		}
-		refined, err := dsvd.Run(blocks, dsvd.Options{K: k, Seed: seeds[g], Obs: opts.Obs, Trace: opts.Trace})
+		opts.Seed = seeds[g]
+		refined, err := dsvd.Run(blocks, opts)
 		if err != nil {
-			continue // no devices at all: keep the sample-based basis
+			continue // no devices at all: keep the current basis
 		}
 		bases[g] = refined.U
 	}
@@ -238,7 +251,7 @@ func publishRound(reg *obs.Registry, res Result, pooled int) {
 // CentralCluster runs Phase 2 at the server: it clusters the pooled
 // sample matrix theta (columns = samples from z devices) into l global
 // clusters with the configured method. For TSC the paper's federated
-// neighbor rule q = max(3, ⌈Z/L⌉) applies unless TSCQ overrides it.
+// neighbor rule q = max(3, ⌈Z/L⌉) applies.
 // With opts.Shards > 1 and/or opts.SketchSize > 0 the sharded/sketched
 // pipeline of shard.go runs instead of the exact single pass.
 func CentralCluster(theta *mat.Dense, z, l int, opts CentralOptions, rng *rand.Rand) subspace.Result {
@@ -283,19 +296,6 @@ func FlattenLabels(labels [][]int) []int {
 	var out []int
 	for _, l := range labels {
 		out = append(out, l...)
-	}
-	return out
-}
-
-// GlobalLabels scatters per-device labels back to global point order
-// using pointsPerDevice, the per-device global point indices (e.g.
-// synth.Partition.Points). n is the total number of points.
-func GlobalLabels(labels [][]int, pointsPerDevice [][]int, n int) []int {
-	out := make([]int, n)
-	for dev, pts := range pointsPerDevice {
-		for k, i := range pts {
-			out[i] = labels[dev][k]
-		}
 	}
 	return out
 }

@@ -69,13 +69,7 @@ func centralSolve(theta *mat.Dense, z, l int, opts CentralOptions, rng *rand.Ran
 	case CentralSSC:
 		return subspace.SSC(theta, l, rng, opts.SSC)
 	case CentralTSC:
-		q := opts.TSCQ
-		if q <= 0 {
-			q = (z + l - 1) / l // ⌈Z/L⌉
-			if q < 3 {
-				q = 3
-			}
-		}
+		q := max(3, (z+l-1)/l) // max(3, ⌈Z/L⌉)
 		return subspace.TSC(theta, l, rng, subspace.TSCOptions{Q: q})
 	default:
 		panic("core: unknown central method " + string(opts.Method))
@@ -97,7 +91,7 @@ func centralCluster(parent *obs.Span, reg *obs.Registry, theta *mat.Dense, z, l 
 	if sketch {
 		sp := parent.Start("phase2.sketch",
 			obs.Int("rows", theta.Rows()), obs.Int("sketch", opts.SketchSize))
-		work = mat.Sketch(theta, opts.SketchSize, opts.SketchKind, rng)
+		work = mat.Sketch(theta, opts.SketchSize, rng)
 		sp.End()
 	}
 	if shards <= 1 {
@@ -206,7 +200,7 @@ func shardBases(work *mat.Dense, cols []int, labels []int, l int) []*mat.Dense {
 			continue
 		}
 		sub := work.SelectCols(members[c])
-		basis, _ := clusterBasis(sub, LocalOptions{}.withDefaults())
+		basis, _ := clusterBasis(sub, 0)
 		out[c] = basis
 	}
 	return out

@@ -81,7 +81,7 @@ func TestShardedParity(t *testing.T) {
 
 // TestSketchedParity: sketching the ambient dimension must preserve the
 // clustering (JL preserves the column geometry the solvers consume),
-// alone and combined with sharding, for both sketch kinds.
+// alone and combined with sharding.
 func TestSketchedParity(t *testing.T) {
 	theta, truth := pooledSamples(t, 60, 3, 4, 20, 4) // 80 pooled samples, ambient 60
 	exact := CentralCluster(theta, 80, 4, CentralOptions{}, rand.New(rand.NewSource(5)))
@@ -91,7 +91,6 @@ func TestSketchedParity(t *testing.T) {
 		opts CentralOptions
 	}{
 		{"gaussian", CentralOptions{SketchSize: 24}},
-		{"rows", CentralOptions{SketchSize: 30, SketchKind: mat.SketchRowsKind}},
 		{"gaussian+shards", CentralOptions{SketchSize: 24, Shards: 4}},
 	} {
 		got := CentralCluster(theta, 80, 4, tc.opts, rand.New(rand.NewSource(5)))

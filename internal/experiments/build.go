@@ -147,16 +147,7 @@ func runFedSCPair(inst Instance, rmax int, rng *rand.Rand) (ssc, tsc Eval) {
 		r = inst.L + 5
 	}
 	local := core.LocalOptions{UseEigengap: true, RMax: r}
-	seeds := make([]int64, len(inst.Devices))
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	locals := make([]core.LocalResult, len(inst.Devices))
-	mat.Parallel(len(inst.Devices), 1<<30, func(lo, hi int) {
-		for dev := lo; dev < hi; dev++ {
-			locals[dev] = core.LocalClusterAndSample(inst.Devices[dev], local, rand.New(rand.NewSource(seeds[dev])))
-		}
-	})
+	locals := core.LocalPhase(nil, inst.Devices, local, rng)
 	truth := inst.FlatTruth()
 	eval := func(method core.CentralMethod) Eval {
 		res := core.Aggregate(inst.Devices, locals, inst.L, core.Options{

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"time"
@@ -131,6 +132,21 @@ func deadline(t time.Duration) time.Time {
 	return time.Now().Add(t)
 }
 
+// Every message a device decodes from the server is read through a
+// byte budget fixed by what the device already knows, so a hostile or
+// broken server cannot make it allocate without bound. smallMsgBytes
+// covers a message with no payload (a RoundHello, a DSVDReply) together
+// with gob's one-time type descriptors; payload budgets add at most
+// gobValueBytes per int or float64 value on top of it.
+const (
+	smallMsgBytes = 64 << 10
+	gobValueBytes = 9
+)
+
+// wireBudget is the byte budget of the hello and of the reply of one
+// exchange.
+type wireBudget struct{ hello, reply int64 }
+
 // rejection returns the server's rejection of the upload, if any.
 func (r AssignmentReply) rejection() string { return r.Err }
 
@@ -139,9 +155,10 @@ func (r DSVDReply) rejection() string { return r.Err }
 
 // exchange runs one attempt of either protocol on conn and closes it:
 // read the hello H, send the upload derived from it (stamped with the
-// attempt number), read the reply R. A reply carrying a server
-// rejection comes back as a rejectionError.
-func exchange[H any, R interface{ rejection() string }](conn net.Conn, deviceID, attempt int, policy RetryPolicy, upload func(H) (SampleUpload, error)) (R, error) {
+// attempt number), read the reply R. The hello and the reply are each
+// read within their budget. A reply carrying a server rejection comes
+// back as a rejectionError.
+func exchange[H any, R interface{ rejection() string }](conn net.Conn, deviceID, attempt int, policy RetryPolicy, budget wireBudget, upload func(H) (SampleUpload, error)) (R, error) {
 	var hello H
 	var reply R
 	// Each exchange is one-shot: a Close error after a complete
@@ -150,8 +167,12 @@ func exchange[H any, R interface{ rejection() string }](conn net.Conn, deviceID,
 	if err := conn.SetReadDeadline(policy.ioDeadline()); err != nil {
 		return reply, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
 	}
-	dec := gob.NewDecoder(conn)
+	limited := &io.LimitedReader{R: conn, N: budget.hello}
+	dec := gob.NewDecoder(limited)
 	if err := dec.Decode(&hello); err != nil {
+		if limited.N <= 0 {
+			return reply, fmt.Errorf("fednet: device %d hello exceeds the %d-byte limit", deviceID, budget.hello)
+		}
 		return reply, fmt.Errorf("fednet: device %d hello: %w", deviceID, err)
 	}
 	up, err := upload(hello)
@@ -168,7 +189,11 @@ func exchange[H any, R interface{ rejection() string }](conn net.Conn, deviceID,
 	if err := conn.SetReadDeadline(policy.replyDeadline()); err != nil {
 		return reply, fmt.Errorf("fednet: device %d set read deadline: %w", deviceID, err)
 	}
+	limited.N = budget.reply
 	if err := dec.Decode(&reply); err != nil {
+		if limited.N <= 0 {
+			return reply, fmt.Errorf("fednet: device %d reply exceeds the %d-byte limit", deviceID, budget.reply)
+		}
 		return reply, fmt.Errorf("fednet: device %d reply: %w", deviceID, err)
 	}
 	if msg := reply.rejection(); msg != "" {
@@ -189,7 +214,7 @@ type retryMetrics struct {
 // fresh connection and runs the exchange on it, backing off between
 // failures per the policy. It returns the reply and how many attempts
 // it made.
-func retry[H any, R interface{ rejection() string }](dial func() (net.Conn, error), deviceID int, policy RetryPolicy, rng *rand.Rand, m retryMetrics, upload func(H) (SampleUpload, error)) (R, int, error) {
+func retry[H any, R interface{ rejection() string }](dial func() (net.Conn, error), deviceID int, policy RetryPolicy, rng *rand.Rand, m retryMetrics, budget wireBudget, upload func(H) (SampleUpload, error)) (R, int, error) {
 	var reply R
 	var lastErr error
 	attempt := 1
@@ -205,7 +230,7 @@ func retry[H any, R interface{ rejection() string }](dial func() (net.Conn, erro
 			lastErr = fmt.Errorf("fednet: device %d dial: %w", deviceID, err)
 			continue
 		}
-		if reply, lastErr = exchange[H, R](conn, deviceID, attempt, policy, upload); lastErr == nil {
+		if reply, lastErr = exchange[H, R](conn, deviceID, attempt, policy, budget, upload); lastErr == nil {
 			return reply, attempt, nil
 		}
 		var rejected rejectionError
@@ -245,7 +270,9 @@ func RunClientDialerWire(dial func() (net.Conn, error), deviceID int, x *mat.Den
 		rejections:   reg.Counter("fedsc_fednet_client_rejections_total", "Uploads the server answered with a rejection."),
 		gaveups:      reg.Counter("fedsc_fednet_client_gaveups_total", "Client participations abandoned after exhausting the retry budget."),
 	}
-	reply, attempts, err := retry[RoundHello, AssignmentReply](dial, deviceID, policy, rng, m, func(hello RoundHello) (SampleUpload, error) {
+	// The reply carries one int per uploaded sample.
+	budget := wireBudget{hello: smallMsgBytes, reply: smallMsgBytes + gobValueBytes*int64(cols)}
+	reply, attempts, err := retry[RoundHello, AssignmentReply](dial, deviceID, policy, rng, m, budget, func(hello RoundHello) (SampleUpload, error) {
 		return encodeWire(SampleUpload{DeviceID: deviceID, Nonce: hello.Nonce,
 			Rows: rows, Cols: cols, Data: lr.Samples.Data()}, wire, hello.Codecs)
 	})

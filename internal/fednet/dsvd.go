@@ -270,9 +270,12 @@ func RunDSVDClient(dial func() (net.Conn, error), deviceID int, block *mat.Dense
 		return encodeWire(SampleUpload{DeviceID: deviceID, Nonce: hello.Nonce,
 			Rows: hello.Rows, Cols: hello.K, Data: w.Data()}, wire, hello.Codecs)
 	}
+	// A hello basis is Rows×K with Rows the block's rows and K ≤ Rows.
+	rows := int64(block.Rows())
+	budget := wireBudget{hello: smallMsgBytes + gobValueBytes*rows*rows, reply: smallMsgBytes}
 	stats := DSVDClientStats{}
 	for {
-		reply, attempts, err := retry[DSVDHello, DSVDReply](dial, deviceID, policy, rng, m, project)
+		reply, attempts, err := retry[DSVDHello, DSVDReply](dial, deviceID, policy, rng, m, budget, project)
 		stats.Attempts += attempts
 		if err != nil {
 			return stats, err

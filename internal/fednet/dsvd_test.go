@@ -3,9 +3,13 @@ package fednet
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -238,5 +242,46 @@ func TestDSVDServerRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := (&DSVDServer{Expect: 1, Rows: 4, Opts: dsvd.Options{K: 0}}).Serve(&staticListener{}); err == nil {
 		t.Fatal("zero rank accepted")
+	}
+}
+
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestDSVDClientBoundsHello: a server that sends a DSVDHello far larger
+// than the device's block allows must not get the device to read it.
+// The client reads at most its budget (Rows×Rows values for its block's
+// Rows), counted by the server over an unbuffered pipe, and fails with
+// an error naming the limit.
+func TestDSVDClientBoundsHello(t *testing.T) {
+	const rows, k = 8, 20000 // a legitimate basis has K <= rows
+	block := mat.RandomGaussian(rows, 4, rand.New(rand.NewSource(1)))
+	sc, cc := net.Pipe()
+	sent := &countingWriter{w: sc}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// The encode fails once the client hangs up; only the count matters.
+		_ = gob.NewEncoder(sent).Encode(DSVDHello{Nonce: 1, Rows: rows, K: k, Basis: make([]float64, rows*k)})
+		_ = sc.Close()
+	}()
+	_, err := RunDSVDClient(func() (net.Conn, error) { return cc, nil }, 0, block,
+		RetryPolicy{Timeout: 10 * time.Second}, WireOptions{}, rand.New(rand.NewSource(2)))
+	<-done
+	budget := int64(smallMsgBytes + gobValueBytes*rows*rows)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds the %d-byte limit", budget)) {
+		t.Fatalf("oversized hello: err = %v, want the %d-byte limit named", err, budget)
+	}
+	if sent.n > budget {
+		t.Fatalf("client read %d bytes of the hello, budget %d", sent.n, budget)
 	}
 }

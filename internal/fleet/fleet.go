@@ -41,25 +41,6 @@ type Config struct {
 	Seed int64
 	// Store persists every published model version; required.
 	Store *store.Store
-	// Tag is the manifest alias that always points at the current
-	// version; versioned tags are derived as "<Tag>@v<N>". Empty means
-	// "fleet".
-	Tag string
-	// AbsorbResidual is the largest mean projection residual (samples
-	// are unit-norm, so it lies in [0, 1]) a late local cluster may
-	// have against its winning global basis and still be absorbed.
-	// Zero means 0.35.
-	AbsorbResidual float64
-	// AbsorbCos is the smallest principal-angle cosine required
-	// between the late cluster's basis and the winning global basis
-	// for absorption — the Vahidian-style subspace similarity test
-	// that keeps a residual fluke from merging distinct subspaces.
-	// Zero means 0.8.
-	AbsorbCos float64
-	// MergeAffinity groups pooled (non-absorbed) late clusters into
-	// delta components: two pooled bases with normalized affinity at
-	// or above it are solved as one new global cluster. Zero means 0.8.
-	MergeAffinity float64
 	// DistributedBases refines exported cluster bases — the initial
 	// round's and every spliced delta cluster's — with a distributed
 	// dominant SVD over the owning devices' raw columns
@@ -73,21 +54,26 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-func (c Config) withDefaults() Config {
-	if c.Tag == "" {
-		c.Tag = "fleet"
-	}
-	if c.AbsorbResidual <= 0 {
-		c.AbsorbResidual = 0.35
-	}
-	if c.AbsorbCos <= 0 {
-		c.AbsorbCos = 0.8
-	}
-	if c.MergeAffinity <= 0 {
-		c.MergeAffinity = 0.8
-	}
-	return c
-}
+// The fleet's publish tag and join gates, the same for every
+// controller.
+const (
+	// alias is the manifest tag that always points at the current
+	// version; versioned tags are derived as "<alias>@v<N>".
+	alias = "fleet"
+	// absorbResidual is the largest mean projection residual (samples
+	// are unit-norm, so it lies in [0, 1]) a late local cluster may
+	// have against its winning global basis and still be absorbed.
+	absorbResidual = 0.35
+	// absorbCos is the smallest principal-angle cosine required
+	// between the late cluster's basis and the winning global basis
+	// for absorption — the Vahidian-style subspace similarity test
+	// that keeps a residual fluke from merging distinct subspaces.
+	absorbCos = 0.8
+	// mergeAffinity groups pooled (non-absorbed) late clusters into
+	// delta components: two pooled bases with normalized affinity at
+	// or above it are solved as one new global cluster.
+	mergeAffinity = 0.8
+)
 
 func (c Config) reg() *obs.Registry {
 	if c.Obs != nil {
@@ -149,7 +135,6 @@ type Controller struct {
 
 // New builds a controller; the initial round has not run yet.
 func New(cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("fleet: a store is required to version models")
 	}
@@ -207,13 +192,13 @@ func (c *Controller) Model() *core.Model {
 // it (first publish also makes the alias the manifest default) and an
 // immutable versioned tag pins it forever.
 func (c *Controller) publishLocked(m *core.Model) (Version, error) {
-	digest, err := c.cfg.Store.PutTagged(c.cfg.Tag, m)
+	digest, err := c.cfg.Store.PutTagged(alias, m)
 	if err != nil {
 		return Version{}, fmt.Errorf("fleet: publish: %w", err)
 	}
 	v := Version{
 		Version:  c.next,
-		Tag:      fmt.Sprintf("%s@v%d", c.cfg.Tag, c.next),
+		Tag:      fmt.Sprintf("%s@v%d", alias, c.next),
 		Digest:   digest,
 		Clusters: m.L,
 	}
@@ -294,11 +279,11 @@ func (c *Controller) centralMethod() core.CentralMethod {
 }
 
 // lateCluster is one non-absorbed local cluster pooled for the delta
-// sub-solve.
+// sub-solve. Pool entry i owns columns [i·spc, (i+1)·spc) of the pooled
+// delta matrix.
 type lateCluster struct {
-	dev, t  int
-	basis   *mat.Dense
-	samples []int // column indices into the pooled delta matrix
+	dev, t int
+	basis  *mat.Dense
 }
 
 // Join runs one incremental round over late devices: Phase 1 locally,
@@ -319,20 +304,7 @@ func (c *Controller) Join(devices []*mat.Dense) (JoinResult, error) {
 	span := c.cfg.Trace.Start("fleet.join", obs.Int("devices", len(devices)))
 	defer span.End()
 
-	// Phase 1 on every late device, seeds pre-derived so the spawn
-	// order (not the scheduler) fixes each device's stream.
-	p1 := span.Start("phase1.local")
-	seeds := make([]int64, len(devices))
-	for i := range seeds {
-		seeds[i] = c.rng.Int63()
-	}
-	locals := make([]core.LocalResult, len(devices))
-	mat.Parallel(len(devices), 1<<30, func(lo, hi int) {
-		for dev := lo; dev < hi; dev++ {
-			locals[dev] = core.LocalClusterAndSample(devices[dev], c.cfg.Local, rand.New(rand.NewSource(seeds[dev])))
-		}
-	})
-	p1.End()
+	locals := core.LocalPhase(span, devices, c.cfg.Local, c.rng)
 
 	ambient := c.model.Ambient
 	spc := c.cfg.Local.SamplesPerCluster
@@ -346,10 +318,9 @@ func (c *Controller) Join(devices []*mat.Dense) (JoinResult, error) {
 	// winner must also pass the principal-angle similarity test
 	// between the late cluster's own basis and the winning global one.
 	scoreSpan := span.Start("score.absorb")
-	taus := make([][]int, len(devices)) // taus[dev][t] = global label, -1 = pooled
+	taus := make([][]int, len(devices)) // taus[dev][t] = global label, or -1-i for pool entry i
 	var pool []lateCluster
 	var poolCols []*mat.Dense
-	poolTotal := 0
 	absorbed := 0
 	for dev, lr := range locals {
 		if devices[dev].Rows() != ambient {
@@ -364,25 +335,17 @@ func (c *Controller) Join(devices []*mat.Dense) (JoinResult, error) {
 			return JoinResult{}, fmt.Errorf("fleet: score late device %d: %w", dev, err)
 		}
 		for t := 0; t < lr.R(); t++ {
-			// Majority vote over the cluster's samples (lowest label
-			// wins ties, independent of map order) and mean residual.
-			votes := map[int]int{}
+			// Majority vote over the cluster's samples and their mean
+			// residual.
+			best := core.Vote(labels[t*spc : (t+1)*spc])
 			meanRes := 0.0
-			for s := 0; s < spc; s++ {
-				votes[labels[t*spc+s]]++
-				meanRes += residuals[t*spc+s]
+			for _, r := range residuals[t*spc : (t+1)*spc] {
+				meanRes += r
 			}
 			meanRes /= float64(spc)
-			best, bestN := 0, -1
-			for lab, n := range votes {
-				if n > bestN || (n == bestN && lab < best) {
-					best, bestN = lab, n
-				}
-			}
-			// The late cluster's own subspace basis, recovered from its
-			// member points like Phase 1 did.
-			sub := devices[dev].SelectCols(lr.Partitions[t])
-			basis, _ := mat.TruncatedSVD(sub, lr.Dims[t])
+			// The late cluster's own subspace basis, as Phase 1
+			// recovered it from the member points.
+			basis := lr.Bases[t]
 			minCos := 0.0
 			if oldBases[best].Cols() > 0 {
 				cos := theory.PrincipalAngles(basis, oldBases[best])
@@ -390,20 +353,15 @@ func (c *Controller) Join(devices []*mat.Dense) (JoinResult, error) {
 					minCos = cos[len(cos)-1]
 				}
 			}
-			if meanRes <= c.cfg.AbsorbResidual && minCos >= c.cfg.AbsorbCos {
+			if meanRes <= absorbResidual && minCos >= absorbCos {
 				taus[dev][t] = best
 				absorbed++
 				continue
 			}
 			// Unexplained: pool the cluster's samples for the delta solve.
-			cols := make([]int, spc)
-			for s := 0; s < spc; s++ {
-				cols[s] = poolTotal + s
-			}
-			pool = append(pool, lateCluster{dev: dev, t: t, basis: basis, samples: cols})
+			taus[dev][t] = -1 - len(pool)
+			pool = append(pool, lateCluster{dev: dev, t: t, basis: basis})
 			poolCols = append(poolCols, lr.Samples.SelectCols(sampleIdx(t, spc)))
-			poolTotal += spc
-			taus[dev][t] = -1
 		}
 	}
 	scoreSpan.End()
@@ -416,40 +374,42 @@ func (c *Controller) Join(devices []*mat.Dense) (JoinResult, error) {
 		// Estimate the number of new clusters by grouping pooled bases
 		// whose subspaces agree (normalized affinity), then sub-solve
 		// the pooled samples into that many clusters.
-		lDelta := deltaComponents(pool, c.cfg.MergeAffinity)
+		lDelta := deltaComponents(pool, mergeAffinity)
 		deltaTheta := mat.HStack(poolCols...)
 		sub := core.CentralCluster(deltaTheta, len(pool), lDelta, c.cfg.Central, c.rng)
-		// Majority vote per pooled cluster over its samples' delta labels.
+		// Majority vote per pooled cluster over its samples' delta
+		// labels; every sample then carries its cluster's vote.
 		deltaOf := make([]int, len(pool))
-		for i, lc := range pool {
-			votes := map[int]int{}
-			for _, j := range lc.samples {
-				votes[sub.Labels[j]]++
+		deltaLabels := make([]int, len(pool)*spc)
+		for i := range pool {
+			deltaOf[i] = core.Vote(sub.Labels[i*spc : (i+1)*spc])
+			for s := 0; s < spc; s++ {
+				deltaLabels[i*spc+s] = deltaOf[i]
 			}
-			best, bestN := 0, -1
-			for lab, n := range votes {
-				if n > bestN || (n == bestN && lab < best) {
-					best, bestN = lab, n
-				}
-			}
-			deltaOf[i] = best
 		}
 		// New bases from the pooled samples; delta clusters that won no
 		// pooled cluster vote are dropped and the rest renumbered, so
 		// the spliced model never carries an empty cluster.
-		deltaLabels := make([]int, poolTotal)
-		for i, lc := range pool {
-			for _, j := range lc.samples {
-				deltaLabels[j] = deltaOf[i]
-			}
-		}
 		deltaBases, _ := core.GlobalBases(deltaTheta, deltaLabels, lDelta, c.cfg.Local.TargetDim)
 		counts := make([]int, lDelta)
 		for _, d := range deltaOf {
 			counts[d] += spc
 		}
 		if c.cfg.DistributedBases {
-			c.refineDeltaBases(deltaSpan, devices, locals, pool, deltaOf, deltaBases, counts)
+			// Refit each surviving delta basis to every member point on
+			// the late devices, each device's columns concatenated
+			// across its pooled clusters in pool order.
+			refineSpan := deltaSpan.Start("delta.refine", obs.Int("clusters", lDelta))
+			members := make([][][]int, lDelta)
+			for d := range members {
+				members[d] = make([][]int, len(devices))
+			}
+			for i, lc := range pool {
+				m := members[deltaOf[i]]
+				m[lc.dev] = append(m[lc.dev], locals[lc.dev].Partitions[lc.t]...)
+			}
+			core.RefineBases(devices, members, deltaBases, dsvd.Options{Obs: c.cfg.Obs, Trace: c.cfg.Trace}, c.rng)
+			refineSpan.End()
 		}
 		remap := make([]int, lDelta)
 		oldL := c.model.L
@@ -473,7 +433,7 @@ func (c *Controller) Join(devices []*mat.Dense) (JoinResult, error) {
 				if tau >= 0 {
 					continue
 				}
-				taus[dev][t] = remap[deltaOf[poolIndex(pool, dev, t)]]
+				taus[dev][t] = remap[deltaOf[-1-tau]]
 			}
 		}
 		deltaSpan.End()
@@ -509,54 +469,6 @@ func (c *Controller) Join(devices []*mat.Dense) (JoinResult, error) {
 	return out, nil
 }
 
-// refineDeltaBases re-estimates each surviving delta cluster's basis
-// with a distributed dominant SVD over the late devices' raw member
-// columns (Config.DistributedBases): the spliced basis is fit to every
-// point of its new cluster — not just the spc pooled samples — while
-// raw columns stay on their devices. Per-cluster seeds come off the
-// controller rng up front so the stream does not depend on skips.
-func (c *Controller) refineDeltaBases(span *obs.Span, devices []*mat.Dense, locals []core.LocalResult,
-	pool []lateCluster, deltaOf []int, deltaBases []*mat.Dense, counts []int) {
-	refineSpan := span.Start("delta.refine", obs.Int("clusters", len(deltaBases)))
-	defer refineSpan.End()
-	seeds := make([]int64, len(deltaBases))
-	for d := range seeds {
-		seeds[d] = c.rng.Int63()
-	}
-	for d := range deltaBases {
-		if counts[d] == 0 {
-			continue
-		}
-		// Gather each late device's columns belonging to delta cluster d,
-		// concatenated across its pooled local clusters in pool order.
-		perDev := make([][]int, len(devices))
-		total := 0
-		for i, lc := range pool {
-			if deltaOf[i] != d {
-				continue
-			}
-			perDev[lc.dev] = append(perDev[lc.dev], locals[lc.dev].Partitions[lc.t]...)
-			total += len(locals[lc.dev].Partitions[lc.t])
-		}
-		blocks := make([]*mat.Dense, len(devices))
-		for dev := range devices {
-			blocks[dev] = devices[dev].SelectCols(perDev[dev])
-		}
-		k := deltaBases[d].Cols()
-		if k > total {
-			k = total
-		}
-		if k <= 0 {
-			continue
-		}
-		refined, err := dsvd.Run(blocks, dsvd.Options{K: k, Seed: seeds[d], Obs: c.cfg.Obs, Trace: c.cfg.Trace})
-		if err != nil {
-			continue // keep the sample-based basis
-		}
-		deltaBases[d] = refined.U
-	}
-}
-
 // Rollback retags the fleet alias to the previous published version
 // and reloads the artifact from the store by digest, so the restored
 // model is provably the exact prior bytes. The versioned tags stay in
@@ -573,7 +485,7 @@ func (c *Controller) Rollback() (Version, error) {
 	span := c.cfg.Trace.Start("fleet.rollback")
 	defer span.End()
 	target := c.history[c.cur-1]
-	if err := c.cfg.Store.Tag(c.cfg.Tag, target.Digest); err != nil {
+	if err := c.cfg.Store.Tag(alias, target.Digest); err != nil {
 		return Version{}, fmt.Errorf("fleet: rollback: %w", err)
 	}
 	m, err := c.cfg.Store.Get(target.Digest)
@@ -613,16 +525,6 @@ func sampleIdx(t, spc int) []int {
 		idx[s] = t*spc + s
 	}
 	return idx
-}
-
-// poolIndex finds the pool entry of device dev's cluster t.
-func poolIndex(pool []lateCluster, dev, t int) int {
-	for i, lc := range pool {
-		if lc.dev == dev && lc.t == t {
-			return i
-		}
-	}
-	return -1
 }
 
 // deltaComponents groups the pooled clusters by subspace agreement: a

@@ -215,9 +215,9 @@ func TestRollbackRestoresExactDigest(t *testing.T) {
 	}
 	// The manifest alias and the in-memory model both point at the
 	// restored content address.
-	digest, ok := c.cfg.Store.Resolve(c.cfg.Tag)
+	digest, ok := c.cfg.Store.Resolve(alias)
 	if !ok {
-		t.Fatalf("alias %s missing from the manifest", c.cfg.Tag)
+		t.Fatalf("alias %s missing from the manifest", alias)
 	}
 	if digest != v1.Digest {
 		t.Fatalf("manifest alias resolves to %s after rollback, want %s", digest, v1.Digest)

@@ -17,24 +17,13 @@ import (
 // Gaussian test-matrix machinery as the randomized range finder behind
 // TruncatedSVD, just applied from the left.
 
-// SketchKind selects the row-compression operator.
-type SketchKind string
-
-// The two sketch operators: a dense Gaussian JL projection (default,
-// strongest guarantee) and uniform row sampling (cheapest, adequate for
-// incoherent data such as the unit-sphere samples Fed-SC uploads).
-const (
-	SketchGaussianKind SketchKind = "gaussian"
-	SketchRowsKind     SketchKind = "rows"
-)
-
-// SketchGaussian returns the s x c matrix (1/√s)·Ω·a where Ω is an
+// Sketch returns the s x c matrix (1/√s)·Ω·a where Ω is an
 // s x r matrix of iid standard normals drawn from rng. The 1/√s scale
 // makes the sketch an isometry in expectation, so downstream tolerances
 // (SSC's DropTol, TSC's spherical distances) keep their meaning. When
 // s >= the row count of a, the sketch cannot compress and a is returned
 // unchanged (not copied).
-func SketchGaussian(a *Dense, s int, rng *rand.Rand) *Dense {
+func Sketch(a *Dense, s int, rng *rand.Rand) *Dense {
 	r := a.Rows()
 	if s >= r || s <= 0 {
 		return a
@@ -43,52 +32,4 @@ func SketchGaussian(a *Dense, s int, rng *rand.Rand) *Dense {
 	out := Mul(omega, a)
 	out.Scale(1 / math.Sqrt(float64(s)))
 	return out
-}
-
-// SketchRows returns s distinct rows of a sampled uniformly without
-// replacement, scaled by √(r/s) so squared column norms are preserved
-// in expectation. The sampled row set is sorted ascending, so for a
-// fixed rng the sketch is a deterministic function of a. When s >= the
-// row count, a is returned unchanged (not copied).
-func SketchRows(a *Dense, s int, rng *rand.Rand) *Dense {
-	r := a.Rows()
-	if s >= r || s <= 0 {
-		return a
-	}
-	// Partial Fisher-Yates: the first s entries of a permutation of [0,r).
-	perm := rng.Perm(r)[:s]
-	// Sort ascending so the sketch's row order never depends on the
-	// draw order (selection sort: s is small).
-	for i := 0; i < s; i++ {
-		min := i
-		for j := i + 1; j < s; j++ {
-			if perm[j] < perm[min] {
-				min = j
-			}
-		}
-		perm[i], perm[min] = perm[min], perm[i]
-	}
-	scale := math.Sqrt(float64(r) / float64(s))
-	out := NewDense(s, a.Cols())
-	for k, i := range perm {
-		dst := out.Row(k)
-		copy(dst, a.Row(i))
-		for j := range dst {
-			dst[j] *= scale
-		}
-	}
-	return out
-}
-
-// Sketch applies the named row-compression operator; an empty kind
-// selects the Gaussian projection.
-func Sketch(a *Dense, s int, kind SketchKind, rng *rand.Rand) *Dense {
-	switch kind {
-	case SketchRowsKind:
-		return SketchRows(a, s, rng)
-	case SketchGaussianKind, "":
-		return SketchGaussian(a, s, rng)
-	default:
-		panic("mat: unknown sketch kind " + string(kind))
-	}
 }

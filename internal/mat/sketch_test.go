@@ -12,7 +12,7 @@ func TestSketchGaussianPreservesInnerProducts(t *testing.T) {
 	// JL distortion on pairwise inner products should be small.
 	a := RandomGaussian(200, 30, rng)
 	NormalizeColumns(a)
-	sk := SketchGaussian(a, 80, rand.New(rand.NewSource(2)))
+	sk := Sketch(a, 80, rand.New(rand.NewSource(2)))
 	if sk.Rows() != 80 || sk.Cols() != 30 {
 		t.Fatalf("sketch is %dx%d, want 80x30", sk.Rows(), sk.Cols())
 	}
@@ -31,57 +31,19 @@ func TestSketchGaussianPreservesInnerProducts(t *testing.T) {
 	}
 }
 
-func TestSketchRowsShapeAndScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := RandomGaussian(100, 12, rng)
-	sk := SketchRows(a, 25, rand.New(rand.NewSource(4)))
-	if sk.Rows() != 25 || sk.Cols() != 12 {
-		t.Fatalf("sketch is %dx%d, want 25x12", sk.Rows(), sk.Cols())
-	}
-	// Expected squared column norm is preserved: with scale √(r/s) the
-	// sketched norms should track the originals within sampling noise.
-	orig := ColNormsSq(a)
-	got := ColNormsSq(sk)
-	for j := range orig {
-		if got[j] < 0.3*orig[j] || got[j] > 3*orig[j] {
-			t.Fatalf("column %d squared norm %.3f vs original %.3f: scale off", j, got[j], orig[j])
-		}
-	}
-	// Every sketched row must be a scaled copy of some original row.
-	scale := math.Sqrt(100.0 / 25.0)
-	for k := 0; k < sk.Rows(); k++ {
-		found := false
-		for i := 0; i < a.Rows() && !found; i++ {
-			match := true
-			for j := 0; j < a.Cols(); j++ {
-				if math.Abs(sk.At(k, j)-scale*a.At(i, j)) > 1e-12 {
-					match = false
-					break
-				}
-			}
-			found = match
-		}
-		if !found {
-			t.Fatalf("sketched row %d matches no original row", k)
-		}
-	}
-}
-
 func TestSketchDeterministicAndNoOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := RandomGaussian(40, 9, rng)
-	for _, kind := range []SketchKind{SketchGaussianKind, SketchRowsKind} {
-		s1 := Sketch(a, 16, kind, rand.New(rand.NewSource(7)))
-		s2 := Sketch(a, 16, kind, rand.New(rand.NewSource(7)))
-		if !Equalish(s1, s2, 0) {
-			t.Fatalf("%s sketch not deterministic under a fixed seed", kind)
-		}
+	s1 := Sketch(a, 16, rand.New(rand.NewSource(7)))
+	s2 := Sketch(a, 16, rand.New(rand.NewSource(7)))
+	if !Equalish(s1, s2, 0) {
+		t.Fatalf("sketch not deterministic under a fixed seed")
 	}
 	// s >= rows or s <= 0: the input comes back untouched.
-	if got := Sketch(a, 40, SketchGaussianKind, rng); got != a {
+	if got := Sketch(a, 40, rng); got != a {
 		t.Fatalf("s == rows should return the input unchanged")
 	}
-	if got := Sketch(a, 0, SketchRowsKind, rng); got != a {
+	if got := Sketch(a, 0, rng); got != a {
 		t.Fatalf("s == 0 should return the input unchanged")
 	}
 }

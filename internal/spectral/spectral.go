@@ -156,9 +156,9 @@ func normalizeEmbedding(emb *mat.Dense) {
 	}
 }
 
-// EstimateAndCluster fuses EstimateClusters and Cluster over one
-// Laplacian eigendecomposition: it estimates the cluster count r by the
-// eigengap heuristic (searched in [1, maxK]; maxK <= 0 searches the whole
+// EstimateAndCluster estimates the cluster count r and clusters over one
+// Laplacian eigendecomposition: it picks r by the eigengap heuristic
+// (scoreEigengap, searched in [1, maxK]; maxK <= 0 searches the whole
 // spectrum) and then segments the graph into r clusters by reusing the
 // bottom r eigenvectors it already computed. This is the hot path of
 // Fed-SC's local phase, where running the two steps separately would
@@ -195,38 +195,19 @@ func EstimateAndCluster(w *sparse.CSR, maxK int, rng *rand.Rand) (int, []int) {
 	return r, res.Labels
 }
 
-// EstimateClusters applies the eigengap heuristic of Eq. (3): with the
+// scoreEigengap applies the eigengap heuristic of Eq. (3): with the
 // normalized-Laplacian eigenvalues sorted ascending, the estimated number
 // of clusters is the index of the dominant gap σ_{i+1} − σ_i, searched in
-// [1, maxK] (maxK <= 0 searches the whole spectrum). Following Remark 1
-// of the paper — the estimate should be robust against weak false
-// connections while still counting connected components — the gap is
-// scored RELATIVE to the eigenvalue below it, (σ_{i+1} − σ_i)/(σ_i + ε):
-// a moderate gap sitting right above the near-zero component eigenvalues
-// then dominates any interior gap of the bulk spectrum. The eigenvalues
-// used are returned alongside the estimate for diagnostics.
-func EstimateClusters(w *sparse.CSR, maxK int, rng *rand.Rand) (int, []float64) {
-	n, _ := w.Dims()
-	if n <= 1 {
-		return n, nil
-	}
-	limit := n - 1
-	if maxK > 0 && maxK < limit {
-		limit = maxK
-	}
-	// We need eigenvalues up to index limit+1 (1-based), i.e. limit+1 values.
-	vals, _ := LaplacianEigs(w, limit+1, rng)
-	return scoreEigengap(vals, limit), vals
-}
-
-// scoreEigengap picks the cluster count from ascending Laplacian
-// eigenvalues. Each candidate gap is scored relative to the average
-// magnitude of the eigenvalue band BELOW it: a cluster structure shows up
-// as a band of near-zero eigenvalues (possibly lifted to a few hundredths
-// by weak false connections) followed by a jump, so the jump at the true
-// r towers over its band while bulk-interior gaps are dwarfed by theirs.
-// ε floors the denominator; the normalized-Laplacian spectrum lives in
-// [0, 2], so an absolute constant is meaningful.
+// [1, limit]. Following Remark 1 of the paper — the estimate should be
+// robust against weak false connections while still counting connected
+// components — each candidate gap is scored relative to the average
+// magnitude of the eigenvalue band BELOW it, (σ_{i+1} − σ_i)/(mean + ε):
+// a cluster structure shows up as a band of near-zero eigenvalues
+// (possibly lifted to a few hundredths by weak false connections)
+// followed by a jump, so the jump at the true r towers over its band
+// while bulk-interior gaps are dwarfed by theirs. ε floors the
+// denominator; the normalized-Laplacian spectrum lives in [0, 2], so an
+// absolute constant is meaningful.
 func scoreEigengap(vals []float64, limit int) int {
 	const eps = 0.05
 	best, bestScore := 1, math.Inf(-1)

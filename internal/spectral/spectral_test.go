@@ -127,9 +127,9 @@ func TestEstimateClustersEigengap(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for _, sizes := range [][]int{{10, 10}, {8, 12, 9}, {6, 6, 6, 6}} {
 		w, _ := blockGraph(sizes, 0, rng)
-		got, vals := EstimateClusters(w, 0, rng)
+		got, labels := EstimateAndCluster(w, 0, rng)
 		if got != len(sizes) {
-			t.Fatalf("sizes %v: estimated %d clusters (eigs %v)", sizes, got, vals[:min(6, len(vals))])
+			t.Fatalf("sizes %v: estimated %d clusters (labels %v)", sizes, got, labels)
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestEstimateClustersEigengap(t *testing.T) {
 func TestEstimateClustersRespectsMaxK(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	w, _ := blockGraph([]int{5, 5, 5, 5, 5}, 0, rng)
-	got, _ := EstimateClusters(w, 3, rng)
+	got, _ := EstimateAndCluster(w, 3, rng)
 	if got > 3 {
 		t.Fatalf("estimate %d exceeds maxK=3", got)
 	}
@@ -146,7 +146,7 @@ func TestEstimateClustersRespectsMaxK(t *testing.T) {
 func TestEstimateClustersTiny(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	w := sparse.NewCSR(1, 1, nil)
-	if got, _ := EstimateClusters(w, 0, rng); got != 1 {
+	if got, _ := EstimateAndCluster(w, 0, rng); got != 1 {
 		t.Fatalf("single vertex estimate = %d", got)
 	}
 }

@@ -113,9 +113,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // Digest returns the content address of a sealed model: the hex of the
 // SHA-256 checksum the artifact format already carries.
 func Digest(m *core.Model) string { return hex.EncodeToString(m.Checksum[:]) }

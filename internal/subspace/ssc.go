@@ -29,12 +29,8 @@ type SSCOptions struct {
 	// (default 1e-8).
 	DropTol float64
 	// Which optimizer solves the self-expression problem (default
-	// SolverCD).
+	// SolverCD). Both run at their package defaults.
 	Which Solver
-	// Solver tunes the coordinate-descent Lasso (SolverCD).
-	Solver lasso.Options
-	// ADMM tunes the ADMM solver (SolverADMM).
-	ADMM lasso.ADMMOptions
 }
 
 func (o SSCOptions) withDefaults() SSCOptions {
@@ -63,7 +59,7 @@ func SSCCoefficients(x *mat.Dense, opts SSCOptions) [][]float64 {
 	coef := make([][]float64, n)
 	var admm *lasso.ADMMSolver
 	if opts.Which == SolverADMM {
-		admm = lasso.NewADMMSolver(g, opts.ADMM)
+		admm = lasso.NewADMMSolver(g, lasso.ADMMOptions{})
 	}
 	mat.Parallel(n, n*n*64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -85,7 +81,7 @@ func SSCCoefficients(x *mat.Dense, opts SSCOptions) [][]float64 {
 			if opts.Which == SolverADMM {
 				coef[i] = admm.Solve(b, lam, []int{i})
 			} else {
-				coef[i] = lasso.Gram(g, b, lam, 0, []int{i}, opts.Solver)
+				coef[i] = lasso.Gram(g, b, lam, 0, []int{i}, lasso.Options{})
 			}
 		}
 	})
