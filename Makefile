@@ -4,9 +4,9 @@ GO ?= go
 # Label naming the machine-readable benchmark report (BENCH_<label>.json).
 BENCH_LABEL ?= local
 
-.PHONY: check fmt vet build test race lint chaos fleet bench-module bench bench-json bench-gate
+.PHONY: check fmt vet build test race fuzz lint chaos fleet bench-module bench bench-json bench-gate
 
-check: fmt vet lint build race chaos fleet bench-module
+check: fmt vet lint build race fuzz chaos fleet bench-module
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -25,6 +25,11 @@ test:
 # per-package test timeout under the race detector.
 race:
 	$(GO) test -short -race ./...
+
+# Fuzz the Lasso homotopy for 10 s: every answer must meet the KKT
+# conditions of its problem (see FuzzGram in internal/lasso).
+fuzz:
+	$(GO) test ./internal/lasso -run '^$$' -fuzz '^FuzzGram$$' -fuzztime 10s
 
 # Project-specific static analysis: the determinism, error-handling,
 # and connection-deadline contracts plus the concurrency-lifecycle pack

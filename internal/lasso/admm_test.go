@@ -9,7 +9,7 @@ import (
 	"fedsc/internal/mat"
 )
 
-func TestADMMMatchesCoordinateDescent(t *testing.T) {
+func TestADMMMatchesLARS(t *testing.T) {
 	rng := rand.New(rand.NewSource(210))
 	x := mat.RandomGaussian(25, 40, rng)
 	mat.NormalizeColumns(x)
@@ -17,7 +17,7 @@ func TestADMMMatchesCoordinateDescent(t *testing.T) {
 	g := mat.Gram(x)
 	b := mat.MulTVec(x, y)
 	lambda := 0.08
-	cd := Gram(g, b, lambda, 0, []int{3}, Options{MaxIter: 2000, Tol: 1e-12})
+	lars := Gram(g, b, lambda, 0, []int{3})
 	solver := NewADMMSolver(g, ADMMOptions{MaxIter: 3000, AbsTol: 1e-10, RelTol: 1e-9})
 	admm := solver.Solve(b, lambda, []int{3})
 	// Compare objectives, which is the right notion of agreement for two
@@ -27,9 +27,9 @@ func TestADMMMatchesCoordinateDescent(t *testing.T) {
 		r := mat.Sub(y, fit, nil)
 		return 0.5*mat.Dot(r, r) + lambda*mat.Norm1(c)
 	}
-	oc, oa := obj(cd), obj(admm)
-	if math.Abs(oc-oa) > 1e-5*(1+oc) {
-		t.Fatalf("objectives differ: CD %v vs ADMM %v", oc, oa)
+	ol, oa := obj(lars), obj(admm)
+	if math.Abs(ol-oa) > 1e-5*(1+ol) {
+		t.Fatalf("objectives differ: LARS %v vs ADMM %v", ol, oa)
 	}
 	if admm[3] != 0 {
 		t.Fatalf("banned coefficient escaped: %v", admm[3])

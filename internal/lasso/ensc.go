@@ -9,8 +9,6 @@ import (
 
 // ActiveSetOptions controls ElasticNetActiveSet.
 type ActiveSetOptions struct {
-	// Inner controls the coordinate-descent subproblem solver.
-	Inner Options
 	// InitialSize is the number of highest-correlation atoms seeding the
 	// active set (default 50).
 	InitialSize int
@@ -80,7 +78,7 @@ func ElasticNetActiveSet(x *mat.Dense, y []float64, lambda1, lambda2 float64, ba
 		for k, j := range active {
 			bs[k] = b[j]
 		}
-		cs := Gram(gs, bs, lambda1, lambda2, nil, opts.Inner)
+		cs := Gram(gs, bs, lambda1, lambda2, nil)
 		for j := range c {
 			c[j] = 0
 		}

@@ -1,10 +1,10 @@
 // Package lasso implements the sparse-recovery solvers behind the
-// SSC-family subspace clustering algorithms: coordinate-descent Lasso and
-// elastic net (with an ORGEN-style active-set strategy) and Orthogonal
-// Matching Pursuit.
+// SSC-family subspace clustering algorithms: an exact LARS-Lasso homotopy
+// for the Lasso and elastic net (with an ORGEN-style active-set strategy
+// for EnSC) and Orthogonal Matching Pursuit.
 //
-// The coordinate-descent solvers work in the Gram domain: given the
-// dictionary Gram matrix G = XᵀX and correlations b = Xᵀy they minimize
+// The homotopy works in the Gram domain: given the dictionary Gram matrix
+// G = XᵀX and correlations b = Xᵀy it minimizes
 //
 //	(1/2)‖y − Xc‖₂² + λ₁‖c‖₁ + (λ₂/2)‖c‖₂²
 //
@@ -15,30 +15,11 @@ package lasso
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"fedsc/internal/mat"
 )
-
-// Options controls the coordinate-descent solvers.
-type Options struct {
-	// MaxIter bounds the number of full coordinate sweeps (default 100).
-	MaxIter int
-	// Tol is the convergence threshold on the largest coefficient change
-	// in a sweep (default 1e-5 — the SSC affinity graph only needs
-	// coefficient magnitudes, so chasing the optimization tail buys
-	// nothing; pass a tighter Tol for solver-accuracy studies).
-	Tol float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-5
-	}
-	return o
-}
 
 // SoftThreshold returns the soft-thresholding operator
 // sign(v)·max(|v|−t, 0).
@@ -57,159 +38,217 @@ func SoftThreshold(v, t float64) float64 {
 //
 //	min_c (1/2)‖y − Xc‖² + λ₁‖c‖₁ + (λ₂/2)‖c‖₂²
 //
-// given g = XᵀX and b = Xᵀy, by cyclic coordinate descent with an active
-// set. Setting λ₂ = 0 gives the Lasso. banned lists coefficient indices
-// pinned to zero (the self-expression constraint cᵢᵢ = 0); pass nil for
-// none. The returned slice has one coefficient per dictionary atom.
-func Gram(g *mat.Dense, b []float64, lambda1, lambda2 float64, banned []int, opts Options) []float64 {
-	opts = opts.withDefaults()
+// given g = XᵀX and b = Xᵀy, exactly, by the LARS-Lasso homotopy (the
+// algorithm family of SPAMS's Lasso). Setting λ₂ = 0 gives the Lasso.
+// banned lists coefficient indices pinned to zero (the self-expression
+// constraint cᵢᵢ = 0); pass nil for none. The returned slice has one
+// coefficient per dictionary atom.
+//
+// The path starts at c = 0 and λ = max|bⱼ| over the unbanned atoms and
+// follows the piecewise-linear optimum down to λ₁. Each piece moves the
+// active coefficients along w = (G_AA + λ₂I)⁻¹ sign(c_A), taken from a
+// Cholesky factor that grows by one row when an atom joins and is
+// re-triangularised by Givens rotations when one drops. A piece ends at
+// the nearest of three events: an atom's residual correlation reaches the
+// shrinking λ (join), an active coefficient crosses zero (drop), or λ
+// reaches λ₁. On equal steps the end wins, then the lowest index. An atom
+// whose pivot shows it numerically in the span of the active set is set
+// aside for the rest of the solve with coefficient 0, and a cap of 8n
+// path steps returns the current iterate.
+func Gram(g *mat.Dense, b []float64, lambda1, lambda2 float64, banned []int) []float64 {
 	n := len(b)
 	if g.Rows() != n || g.Cols() != n {
 		panic("lasso: Gram dimension mismatch")
 	}
-	isBanned := make([]bool, n)
-	for _, i := range banned {
-		isBanned[i] = true
-	}
 	c := make([]float64, n)
-	// grad[j] tracks Σ_k G[j,k] c[k]. During inner sweeps it is maintained
-	// lazily: a coordinate step updates it only over the active set, so a
-	// changed coefficient costs O(|active|) rather than O(n). The inactive
-	// entries go stale, but they are only ever read by the KKT pass, which
-	// rebuilds the full gradient from the ~d nonzero coefficients first.
-	grad := make([]float64, n)
-	// Working-set strategy: coordinate descent only ever runs over a
-	// small active set; between inner solves a KKT pass over all n
-	// coordinates admits the worst violators. SSC solutions have ~d
-	// nonzeros, so this turns the O(n) full sweeps that dominate naive
-	// CD into O(|active|) sweeps plus a handful of O(n) passes.
-	inActive := make([]bool, n)
-	var active []int
-	admit := func(j int) {
-		if !inActive[j] {
-			inActive[j] = true
-			active = append(active, j)
-		}
+	lam := MaxCorrelation(b, banned)
+	if lam <= lambda1 {
+		return c
 	}
-	sweepActive := func() float64 {
-		maxDelta := 0.0
-		for _, j := range active {
-			old := c[j]
-			gjj := g.At(j, j)
-			if gjj <= 0 {
-				continue
-			}
-			rho := b[j] - (grad[j] - gjj*old)
-			nv := SoftThreshold(rho, lambda1) / (gjj + lambda2)
-			// Skip updates below relative rounding noise; exact equality
-			// would make the skip depend on the bit pattern of the last
-			// arithmetic step.
-			if math.Abs(nv-old) <= 1e-15*(1+math.Abs(old)) {
-				continue
-			}
-			d := nv - old
-			c[j] = nv
-			row := g.Row(j)
-			for _, k := range active {
-				grad[k] += d * row[k]
-			}
-			if ad := math.Abs(d); ad > maxDelta {
-				maxDelta = ad
-			}
-		}
-		return maxDelta
+	const (
+		free = -1 // may join the active set
+		out  = -2 // banned, or set aside as numerically in span(A)
+	)
+	s := statePool.Get().(*workState)
+	defer statePool.Put(s)
+	s.reset(n)
+	pos, f := s.pos, &s.f
+	r, a := s.work[:n], s.work[n:] // residual correlations b − Gc, and G_{:,A} w
+	for j := range pos {
+		pos[j] = free
 	}
-	// refreshGrad rebuilds the full gradient G·c from the nonzero
-	// coefficients, restoring the entries the lazy sweeps let go stale.
-	refreshGrad := func() {
-		for k := range grad {
-			grad[k] = 0
-		}
-		for _, j := range active {
-			if cj := c[j]; cj != 0 { //fedsc:allow floatcmp SoftThreshold produces exact zeros; this is a sparsity skip
-				mat.Axpy(cj, g.Row(j), grad)
-			}
-		}
+	for _, j := range banned {
+		pos[j] = out
 	}
-	// Seed with the strongest correlations, then let KKT passes admit
-	// the rest; admissions are capped per round so a high-correlation
-	// dictionary cannot flood the active set with coordinates that end
-	// up back at zero.
-	const growBy = 10
-	admitWorst := func(threshold float64) bool {
-		type viol struct {
-			j int
-			a float64
+	copy(r, b)
+	dropped, left := -1, 0.0 // last dropped atom and its sign
+	for step := 0; step < 8*n; step++ {
+		w := f.direction()
+		clear(a)
+		for k, j := range f.active {
+			mat.Axpy(w[k], g.Row(j), a) // G is symmetric: row j is column j
 		}
-		var worst [growBy]viol
-		count := 0
-		refreshGrad()
-		for j := 0; j < n; j++ {
-			if isBanned[j] || inActive[j] {
-				continue
-			}
-			a := math.Abs(b[j] - grad[j])
-			if a <= threshold {
-				continue
-			}
-			// Insertion into the fixed-size worst list.
-			k := count
-			if k > growBy-1 {
-				k = growBy - 1
-				if worst[k].a >= a {
-					continue
+		gamma, event, sign := lam-lambda1, -1, 0.0
+		for j, p := range pos {
+			switch {
+			case p >= 0:
+				// Clamped at 0 so a coefficient that rounding left at or
+				// past zero (a tie with the last drop) drops at once.
+				if w[p]*f.sign[p] < 0 {
+					if t := max(0, -c[j]/w[p]); t < gamma {
+						gamma, event = t, j
+					}
+				}
+			case p == free:
+				// A just-dropped atom sits on the boundary it left; in the
+				// next piece only the opposite boundary can take it back.
+				if d := 1 - a[j]; d > 0 && (j != dropped || left < 0) {
+					if t := max(0, lam-r[j]) / d; t < gamma {
+						gamma, event, sign = t, j, 1
+					}
+				}
+				if d := 1 + a[j]; d > 0 && (j != dropped || left > 0) {
+					if t := max(0, lam+r[j]) / d; t < gamma {
+						gamma, event, sign = t, j, -1
+					}
 				}
 			}
-			for k > 0 && worst[k-1].a < a {
-				worst[k] = worst[k-1]
-				k--
-			}
-			worst[k] = viol{j, a}
-			if count < growBy {
-				count++
-			}
 		}
-		for i := 0; i < count; i++ {
-			admit(worst[i].j)
+		for k, j := range f.active {
+			c[j] += gamma * w[k]
 		}
-		return count > 0
-	}
-	admitWorst(lambda1)
-	for round := 0; round < opts.MaxIter; round++ {
-		for inner := 0; inner < opts.MaxIter; inner++ {
-			if sweepActive() < opts.Tol {
-				break
+		mat.Axpy(-gamma, a, r)
+		lam -= gamma
+		dropped = -1
+		switch {
+		case event < 0:
+			return c
+		case pos[event] >= 0:
+			c[event] = 0
+			left = f.sign[pos[event]]
+			f.drop(pos[event])
+			for k, j := range f.active {
+				pos[j] = k
 			}
-		}
-		// KKT pass: a zero coordinate is optimal iff |bⱼ − gradⱼ| ≤ λ1.
-		if !admitWorst(lambda1 + opts.Tol) {
-			break
+			pos[event], dropped = free, event
+		case f.join(g, event, sign, lambda2):
+			pos[event] = len(f.active) - 1
+		default:
+			pos[event] = out
 		}
 	}
 	return c
+}
+
+// factor is the active set of the homotopy with the lower Cholesky factor
+// of G_AA + λ₂I, packed by rows (row i starts at i(i+1)/2) so it grows
+// with the active set instead of being allocated at the full n×n.
+type factor struct {
+	active []int     // atoms in join order
+	sign   []float64 // sign of each active coefficient
+	l      []float64 // packed lower Cholesky factor
+	w      []float64 // (G_AA + λ₂I)⁻¹ sign
+}
+
+// workState is one solve's working state. Solves take it from statePool
+// so the thousand solves of a round do not each allocate it.
+type workState struct {
+	pos  []int     // each atom's position in the active set, or free/out
+	work []float64 // residual correlations and G_{:,A} w
+	f    factor
+}
+
+var statePool = sync.Pool{New: func() any { return new(workState) }}
+
+// reset sizes s for a solve over n atoms and empties its factor.
+func (s *workState) reset(n int) {
+	s.pos = slices.Grow(s.pos[:0], n)[:n]
+	s.work = slices.Grow(s.work[:0], 2*n)[:2*n]
+	s.f.active, s.f.sign, s.f.l = s.f.active[:0], s.f.sign[:0], s.f.l[:0]
+}
+
+func rowStart(i int) int { return i * (i + 1) / 2 }
+
+// direction solves L Lᵀ w = sign by forward and back substitution.
+func (f *factor) direction() []float64 {
+	w := append(f.w[:0], f.sign...)
+	m := len(w)
+	for i := 0; i < m; i++ {
+		row := f.l[rowStart(i) : rowStart(i)+i+1]
+		w[i] = (w[i] - mat.Dot(row[:i], w[:i])) / row[i]
+	}
+	for i := m - 1; i >= 0; i-- {
+		s := w[i]
+		for k := i + 1; k < m; k++ {
+			s -= f.l[rowStart(k)+i] * w[k]
+		}
+		w[i] = s / f.l[rowStart(i)+i]
+	}
+	f.w = w
+	return w
+}
+
+// join appends atom j with the given sign, adding one row to the factor
+// in O(|A|²). It reports false, leaving the factor unchanged, when the
+// new pivot is at most 1e-12·(G_jj + λ₂): the atom is then numerically
+// in the span of the active set.
+func (f *factor) join(g *mat.Dense, j int, sign, lambda2 float64) bool {
+	gj := g.Row(j)
+	base := len(f.l)
+	for k, i := range f.active {
+		row := f.l[rowStart(k) : rowStart(k)+k+1]
+		f.l = append(f.l, (gj[i]-mat.Dot(row[:k], f.l[base:base+k]))/row[k])
+	}
+	z := f.l[base:]
+	d := gj[j] + lambda2 - mat.Dot(z, z)
+	if d <= 1e-12*(gj[j]+lambda2) {
+		f.l = f.l[:base]
+		return false
+	}
+	f.l = append(f.l, math.Sqrt(d))
+	f.active = append(f.active, j)
+	f.sign = append(f.sign, sign)
+	return true
+}
+
+// drop removes the atom at position p. Deleting row p of L leaves rows
+// p+1.. with one entry above the diagonal; Givens rotations on column
+// pairs (k, k+1) zero those entries, and the emptied last column goes.
+func (f *factor) drop(p int) {
+	m := len(f.active)
+	for k := p; k < m-1; k++ {
+		top := rowStart(k + 1)
+		h := math.Hypot(f.l[top+k], f.l[top+k+1])
+		cs, sn := f.l[top+k]/h, f.l[top+k+1]/h
+		for i := k + 1; i < m; i++ {
+			ri := rowStart(i)
+			x, y := f.l[ri+k], f.l[ri+k+1]
+			f.l[ri+k], f.l[ri+k+1] = cs*x+sn*y, cs*y-sn*x
+		}
+	}
+	for i := p; i < m-1; i++ {
+		copy(f.l[rowStart(i):rowStart(i)+i+1], f.l[rowStart(i+1):])
+	}
+	f.l = f.l[:rowStart(m-1)]
+	f.active = slices.Delete(f.active, p, p+1)
+	f.sign = slices.Delete(f.sign, p, p+1)
 }
 
 // Lasso solves min_c (1/2)‖y − Xc‖² + λ‖c‖₁ with optional banned
 // coefficients by forming the Gram matrix and delegating to Gram. For
 // repeated solves against one dictionary, compute the Gram once and call
 // Gram directly.
-func Lasso(x *mat.Dense, y []float64, lambda float64, banned []int, opts Options) []float64 {
-	g := mat.Gram(x)
-	b := mat.MulTVec(x, y)
-	return Gram(g, b, lambda, 0, banned, opts)
+func Lasso(x *mat.Dense, y []float64, lambda float64, banned []int) []float64 {
+	return Gram(mat.Gram(x), mat.MulTVec(x, y), lambda, 0, banned)
 }
 
 // MaxCorrelation returns max_{j∉banned} |b[j]| where b = Xᵀy in the Gram
 // domain; the Lasso solution is identically zero iff λ ≥ this value. It
 // is the quantity the paper's λ rule (λᵢ = maxⱼ≠ᵢ|xⱼᵀxᵢ|/50) is built on.
 func MaxCorrelation(b []float64, banned []int) float64 {
-	isBanned := make(map[int]bool, len(banned))
-	for _, i := range banned {
-		isBanned[i] = true
-	}
 	m := 0.0
 	for j, v := range b {
-		if isBanned[j] {
+		if slices.Contains(banned, j) {
 			continue
 		}
 		if a := math.Abs(v); a > m {

@@ -1,8 +1,10 @@
 package lasso
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,7 +39,7 @@ func TestLassoRecoversSparseSignal(t *testing.T) {
 	y := make([]float64, n)
 	mat.Axpy(2, x.Col(3, nil), y)
 	mat.Axpy(-1.5, x.Col(17, nil), y)
-	c := Lasso(x, y, 0.01, nil, Options{})
+	c := Lasso(x, y, 0.01, nil)
 	if math.Abs(c[3]-2) > 0.1 || math.Abs(c[17]+1.5) > 0.1 {
 		t.Fatalf("Lasso missed true support: c3=%v c17=%v", c[3], c[17])
 	}
@@ -55,7 +57,7 @@ func TestLassoZeroAtHighLambda(t *testing.T) {
 	y := x.Col(0, nil)
 	b := mat.MulTVec(x, y)
 	lmax := MaxCorrelation(b, nil)
-	c := Lasso(x, y, lmax*1.01, nil, Options{})
+	c := Lasso(x, y, lmax*1.01, nil)
 	for j, v := range c {
 		if v != 0 {
 			t.Fatalf("c[%d]=%v should be exactly zero above λmax", j, v)
@@ -68,7 +70,7 @@ func TestLassoBannedIndexStaysZero(t *testing.T) {
 	x := mat.RandomGaussian(15, 10, rng)
 	mat.NormalizeColumns(x)
 	y := x.Col(4, nil) // the banned atom is the perfect answer
-	c := Lasso(x, y, 0.01, []int{4}, Options{})
+	c := Lasso(x, y, 0.01, []int{4})
 	if c[4] != 0 {
 		t.Fatalf("banned coefficient is %v, want 0", c[4])
 	}
@@ -84,7 +86,7 @@ func TestLassoKKTConditions(t *testing.T) {
 		mat.NormalizeColumns(x)
 		y := mat.RandomUnitVector(n, r)
 		lambda := 0.05 + 0.2*r.Float64()
-		c := Lasso(x, y, lambda, nil, Options{})
+		c := Lasso(x, y, lambda, nil)
 		fit := mat.MulVec(x, c)
 		res := mat.Sub(y, fit, nil)
 		corr := mat.MulTVec(x, res)
@@ -116,10 +118,10 @@ func TestGramMatchesLasso(t *testing.T) {
 	x := mat.RandomGaussian(20, 15, rng)
 	mat.NormalizeColumns(x)
 	y := mat.RandomUnitVector(20, rng)
-	direct := Lasso(x, y, 0.1, []int{2}, Options{})
+	direct := Lasso(x, y, 0.1, []int{2})
 	g := mat.Gram(x)
 	b := mat.MulTVec(x, y)
-	viaGram := Gram(g, b, 0.1, 0, []int{2}, Options{})
+	viaGram := Gram(g, b, 0.1, 0, []int{2})
 	for j := range direct {
 		if math.Abs(direct[j]-viaGram[j]) > 1e-9 {
 			t.Fatalf("Gram-domain solution differs at %d: %v vs %v", j, direct[j], viaGram[j])
@@ -134,8 +136,8 @@ func TestElasticNetShrinksMore(t *testing.T) {
 	y := x.Col(0, nil)
 	g := mat.Gram(x)
 	b := mat.MulTVec(x, y)
-	cl := Gram(g, b, 0.05, 0, nil, Options{})
-	cen := Gram(g, b, 0.05, 1.0, nil, Options{})
+	cl := Gram(g, b, 0.05, 0, nil)
+	cen := Gram(g, b, 0.05, 1.0, nil)
 	if mat.Norm2(cen) >= mat.Norm2(cl) {
 		t.Fatalf("elastic net should shrink: ‖en‖=%v ‖lasso‖=%v", mat.Norm2(cen), mat.Norm2(cl))
 	}
@@ -204,7 +206,7 @@ func TestElasticNetActiveSetMatchesFullSolve(t *testing.T) {
 	cAS := ElasticNetActiveSet(x, y, l1, l2, nil, ActiveSetOptions{InitialSize: 5, GrowBy: 3})
 	g := mat.Gram(x)
 	b := mat.MulTVec(x, y)
-	cFull := Gram(g, b, l1, l2, nil, Options{})
+	cFull := Gram(g, b, l1, l2, nil)
 	// The two should reach (near) identical objective values.
 	oAS := enObjective(x, y, cAS, l1, l2)
 	oFull := enObjective(x, y, cFull, l1, l2)
@@ -236,4 +238,132 @@ func TestMaxCorrelation(t *testing.T) {
 	if got := MaxCorrelation(b, []int{1}); got != 0.5 {
 		t.Fatalf("MaxCorrelation banned = %v", got)
 	}
+}
+
+// kktViolation returns an error naming the first optimality condition of
+// min ½cᵀGc − bᵀc + λ₁‖c‖₁ + (λ₂/2)‖c‖² that c breaks by more than 1e-9
+// relative to the problem's scale max|b| + λ₁, or nil at the optimum.
+func kktViolation(g *mat.Dense, b, c []float64, l1, l2 float64, banned []int) error {
+	gc := mat.MulVec(g, c)
+	scale := l1
+	for _, v := range b {
+		scale = math.Max(scale, math.Abs(v)+l1)
+	}
+	tol := 1e-9 * scale
+	for j, cj := range c {
+		r := b[j] - gc[j]
+		switch {
+		case math.IsNaN(cj):
+			return fmt.Errorf("c[%d] is NaN", j)
+		case slices.Contains(banned, j):
+			if cj != 0 {
+				return fmt.Errorf("banned c[%d] = %v", j, cj)
+			}
+		case cj != 0:
+			if d := r - l2*cj - l1*sign(cj); math.Abs(d) > tol {
+				return fmt.Errorf("active c[%d] = %v: stationarity off by %v (tol %v)", j, cj, d, tol)
+			}
+		case math.Abs(r) > l1+tol:
+			return fmt.Errorf("zero c[%d]: |correlation| %v exceeds λ₁ %v (tol %v)", j, math.Abs(r), l1, tol)
+		}
+	}
+	return nil
+}
+
+func TestGramReachesOptimum(t *testing.T) {
+	gaussian := func(seed int64, d, n int) *mat.Dense {
+		x := mat.RandomGaussian(d, n, rand.New(rand.NewSource(seed)))
+		mat.NormalizeColumns(x)
+		return x
+	}
+	withColumn := func(x *mat.Dense, dst int, col []float64) *mat.Dense {
+		for i, v := range col {
+			x.Set(i, dst, v)
+		}
+		return x
+	}
+	dup := gaussian(61, 15, 20)
+	// Atom 7 is atom 2 tilted by 1e-4 toward u, which y follows and no
+	// other atom spans, so both atoms of the pair end up active.
+	near := gaussian(62, 15, 10)
+	u := mat.RandomUnitVector(15, rand.New(rand.NewSource(3)))
+	tilt := near.Col(2, nil)
+	mat.Axpy(1e-4, u, tilt)
+	mat.Normalize(tilt)
+	cases := []struct {
+		name   string
+		x      *mat.Dense
+		y      func(x *mat.Dense) []float64
+		l1     float64 // fraction of max|b|
+		l2     float64
+		banned []int
+	}{
+		{"banned index", gaussian(60, 15, 10), func(x *mat.Dense) []float64 { return x.Col(4, nil) }, 0.02, 0, []int{4}},
+		{"lambda above max correlation", gaussian(60, 15, 10), func(x *mat.Dense) []float64 { return x.Col(4, nil) }, 1, 0, nil},
+		{"elastic net", gaussian(63, 12, 30), func(x *mat.Dense) []float64 { return mat.RandomUnitVector(12, rand.New(rand.NewSource(1))) }, 0.05, 0.5, nil},
+		{"exact duplicate joins", withColumn(dup, 7, dup.Col(2, nil)), func(x *mat.Dense) []float64 {
+			y := x.Col(2, nil)
+			mat.Axpy(0.3, x.Col(5, nil), y)
+			return y
+		}, 0.02, 0, nil},
+		{"near-collinear pair", withColumn(near, 7, tilt), func(x *mat.Dense) []float64 {
+			y := slices.Clone(u)
+			mat.Axpy(0.3, x.Col(5, nil), y)
+			return y
+		}, 1e-5, 0, []int{0}},
+		{"more atoms than dimensions", gaussian(64, 5, 40), func(x *mat.Dense) []float64 { return mat.RandomUnitVector(5, rand.New(rand.NewSource(2))) }, 0.01, 0, []int{3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := mat.Gram(tc.x)
+			b := mat.MulTVec(tc.x, tc.y(tc.x))
+			l1 := tc.l1 * MaxCorrelation(b, tc.banned)
+			c := Gram(g, b, l1, tc.l2, tc.banned)
+			if err := kktViolation(g, b, c, l1, tc.l2, tc.banned); err != nil {
+				t.Fatal(err)
+			}
+			if tc.l1 >= 1 && mat.Norm1(c) != 0 {
+				t.Fatalf("λ₁ ≥ max|b| must give all zeros, got %v", c)
+			}
+			if tc.x == near && (c[2] == 0 || c[7] == 0) {
+				t.Fatalf("near-collinear pair not both active: c2=%v c7=%v", c[2], c[7])
+			}
+		})
+	}
+}
+
+// FuzzGram checks the KKT conditions of the homotopy's answer on random
+// dictionaries: dims and atoms come from the fuzzer, and dup copies atom
+// 0 over the last atom so exact linear dependence is covered too.
+func FuzzGram(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(30), 0.02, 0.0, uint8(0), false)
+	f.Add(int64(2), uint8(5), uint8(40), 0.01, 0.0, uint8(3), false)
+	f.Add(int64(3), uint8(12), uint8(30), 0.05, 0.5, uint8(0), true)
+	f.Add(int64(4), uint8(15), uint8(10), 1.0, 0.0, uint8(4), false)
+	f.Add(int64(5), uint8(15), uint8(20), 0.001, 0.0, uint8(1), true)
+	f.Fuzz(func(t *testing.T, seed int64, dims, atoms uint8, frac, l2 float64, ban uint8, dup bool) {
+		if math.IsNaN(frac) || math.IsInf(frac, 0) || math.IsNaN(l2) || math.IsInf(l2, 0) {
+			t.Skip()
+		}
+		d, n := 1+int(dims%24), 1+int(atoms%48)
+		rng := rand.New(rand.NewSource(seed))
+		x := mat.RandomGaussian(d, n, rng)
+		if dup && n > 1 {
+			for i := 0; i < d; i++ {
+				x.Set(i, n-1, x.At(i, 0))
+			}
+		}
+		y := mat.RandomUnitVector(d, rng)
+		g, b := mat.Gram(x), mat.MulTVec(x, y)
+		var banned []int
+		if int(ban) < n {
+			banned = []int{int(ban)}
+		}
+		l1 := (1e-3 + math.Mod(math.Abs(frac), 1.2)) * MaxCorrelation(b, banned)
+		l2 = math.Mod(math.Abs(l2), 2)
+		c := Gram(g, b, l1, l2, banned)
+		if err := kktViolation(g, b, c, l1, l2, banned); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package subspace
 
 import (
-	"math"
 	"math/rand"
 
 	"fedsc/internal/lasso"
@@ -49,22 +48,14 @@ func EnSC(x *mat.Dense, k int, rng *rand.Rand, opts EnSCOptions) Result {
 		col := make([]float64, xn.Rows())
 		for i := lo; i < hi; i++ {
 			xn.Col(i, col)
-			b := mat.MulTVec(xn, col)
-			mu := 0.0
-			for j, v := range b {
-				if j == i {
-					continue
-				}
-				if a := math.Abs(v); a > mu {
-					mu = a
-				}
-			}
+			self := []int{i}
+			mu := lasso.MaxCorrelation(mat.MulTVec(xn, col), self)
 			if mu == 0 { //fedsc:allow floatcmp max |correlation| is exactly zero iff the point is exactly orthogonal to all others
 				coef[i] = make([]float64, n)
 				continue
 			}
 			l1 := mu / opts.Alpha
-			coef[i] = lasso.ElasticNetActiveSet(xn, col, l1, opts.L2Ratio*l1, []int{i}, opts.ActiveSet)
+			coef[i] = lasso.ElasticNetActiveSet(xn, col, l1, opts.L2Ratio*l1, self, opts.ActiveSet)
 		}
 	})
 	w := affinityFromCoef(coef, opts.DropTol)

@@ -1,7 +1,6 @@
 package subspace
 
 import (
-	"math"
 	"math/rand"
 
 	"fedsc/internal/lasso"
@@ -12,10 +11,10 @@ import (
 type Solver string
 
 // The two solvers for the SSC subproblem (Eq. 2). The paper implements
-// it with SPAMS (coordinate descent here plays that role) and cites ADMM
-// as the alternative it replaced.
+// it with SPAMS, whose Lasso is the LARS homotopy with Cholesky updates
+// that SolverLARS runs, and cites ADMM as the alternative it replaced.
 const (
-	SolverCD   Solver = "cd"   // coordinate descent (default)
+	SolverLARS Solver = "lars" // exact LARS-Lasso homotopy (default)
 	SolverADMM Solver = "admm" // ADMM on the Lasso form
 )
 
@@ -29,7 +28,7 @@ type SSCOptions struct {
 	// (default 1e-8).
 	DropTol float64
 	// Which optimizer solves the self-expression problem (default
-	// SolverCD). Both run at their package defaults.
+	// SolverLARS, which is exact; ADMM runs at its package defaults).
 	Which Solver
 }
 
@@ -41,7 +40,7 @@ func (o SSCOptions) withDefaults() SSCOptions {
 		o.DropTol = 1e-8
 	}
 	if o.Which == "" {
-		o.Which = SolverCD
+		o.Which = SolverLARS
 	}
 	return o
 }
@@ -64,24 +63,17 @@ func SSCCoefficients(x *mat.Dense, opts SSCOptions) [][]float64 {
 	mat.Parallel(n, n*n*64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b := g.Row(i) // Xᵀxᵢ is the i-th row of the Gram matrix
-			mu := 0.0
-			for j, v := range b {
-				if j == i {
-					continue
-				}
-				if a := math.Abs(v); a > mu {
-					mu = a
-				}
-			}
+			self := []int{i}
+			mu := lasso.MaxCorrelation(b, self)
 			if mu == 0 { //fedsc:allow floatcmp max |correlation| is exactly zero iff the point is exactly orthogonal to all others
 				coef[i] = make([]float64, n)
 				continue
 			}
 			lam := mu / opts.Alpha
 			if opts.Which == SolverADMM {
-				coef[i] = admm.Solve(b, lam, []int{i})
+				coef[i] = admm.Solve(b, lam, self)
 			} else {
-				coef[i] = lasso.Gram(g, b, lam, 0, []int{i}, lasso.Options{})
+				coef[i] = lasso.Gram(g, b, lam, 0, self)
 			}
 		}
 	})

@@ -54,14 +54,14 @@ func TestSSCNoisyData(t *testing.T) {
 	}
 }
 
-func TestSSCADMMSolverMatchesCD(t *testing.T) {
+func TestSSCADMMSolverMatchesLARS(t *testing.T) {
 	ds, rng := testData(20, 3, 3, 20, 113)
-	cd := SSC(ds.X, 3, rng, SSCOptions{Which: SolverCD})
+	lars := SSC(ds.X, 3, rng, SSCOptions{Which: SolverLARS})
 	admm := SSC(ds.X, 3, rng, SSCOptions{Which: SolverADMM})
-	accCD := metrics.Accuracy(ds.Labels, cd.Labels)
+	accLARS := metrics.Accuracy(ds.Labels, lars.Labels)
 	accADMM := metrics.Accuracy(ds.Labels, admm.Labels)
-	if accCD < 95 || accADMM < 95 {
-		t.Fatalf("solver accuracies CD=%.1f ADMM=%.1f", accCD, accADMM)
+	if accLARS < 95 || accADMM < 95 {
+		t.Fatalf("solver accuracies LARS=%.1f ADMM=%.1f", accLARS, accADMM)
 	}
 }
 

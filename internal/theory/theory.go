@@ -68,7 +68,7 @@ func DualDirection(x []float64, xs *mat.Dense, lambda float64) []float64 {
 	if lambda <= 0 {
 		lambda = 1e-3
 	}
-	c := lasso.Lasso(xs, x, lambda, nil, lasso.Options{MaxIter: 2000, Tol: 1e-10})
+	c := lasso.Lasso(xs, x, lambda, nil)
 	fit := mat.MulVec(xs, c)
 	nu := mat.Sub(x, fit, nil)
 	mat.ScaleVec(1/lambda, nu)
