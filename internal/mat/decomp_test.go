@@ -434,3 +434,16 @@ func TestNormalizeColumns(t *testing.T) {
 		t.Fatal("zero column should remain zero")
 	}
 }
+
+// TestJacobiAllocsPerCall bounds the allocations of a small Jacobi SVD:
+// one closure serves every round, so the count does not grow with the
+// number of rounds (a closure per round cost ~100 at this shape).
+func TestJacobiAllocsPerCall(t *testing.T) {
+	a := RandomGaussian(20, 15, rand.New(rand.NewSource(41)))
+	if n := testing.AllocsPerRun(10, func() { SingularValues(a) }); n > 16 {
+		t.Fatalf("SingularValues(20×15) makes %v allocations, want ≤ 16", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { SVDFactor(a) }); n > 20 {
+		t.Fatalf("SVDFactor(20×15) makes %v allocations, want ≤ 20", n)
+	}
+}
