@@ -332,18 +332,28 @@ func TestRunDistributedBasesRefinement(t *testing.T) {
 // TestLocalBasesAreClusterSVDs pins the basis reuse fleet relies on: on
 // the eigengap, fixed-r and TargetDim paths, LocalResult.Bases[t] is bit
 // for bit the truncated SVD of cluster t's member columns at Dims[t].
+// The shapes cover the randomized range finder (40×30 clusters), the
+// exact Gram path whose eigendecomposition also chose d (20×15, the
+// round-local shape), and a wide cluster (8×15) with more columns than
+// rows.
 func TestLocalBasesAreClusterSVDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(160))
-	s := synth.RandomSubspaces(40, 3, 3, rng)
-	x := s.Sample(30, rng).X
+	sample := func(n, d, l, per int) *mat.Dense {
+		return synth.RandomSubspaces(n, d, l, rng).Sample(per, rng).X
+	}
+	tall, roundLocal, wide := sample(40, 3, 3, 30), sample(20, 5, 2, 15), sample(8, 2, 3, 15)
 	for _, tc := range []struct {
 		name string
+		x    *mat.Dense
 		opts LocalOptions
 	}{
-		{"eigengap", LocalOptions{UseEigengap: true}},
-		{"fixed r", LocalOptions{RMax: 3}},
-		{"target dim", LocalOptions{RMax: 3, TargetDim: 1, SamplesPerCluster: 2}},
+		{"eigengap", tall, LocalOptions{UseEigengap: true}},
+		{"fixed r", tall, LocalOptions{RMax: 3}},
+		{"target dim", tall, LocalOptions{RMax: 3, TargetDim: 1, SamplesPerCluster: 2}},
+		{"eigengap, round-local shape", roundLocal, LocalOptions{UseEigengap: true}},
+		{"fixed r, wide clusters", wide, LocalOptions{RMax: 3}},
 	} {
+		x := tc.x
 		lr := LocalClusterAndSample(x, tc.opts, rand.New(rand.NewSource(161)))
 		if len(lr.Bases) != lr.R() {
 			t.Fatalf("%s: %d bases for %d clusters", tc.name, len(lr.Bases), lr.R())
@@ -358,6 +368,51 @@ func TestLocalBasesAreClusterSVDs(t *testing.T) {
 				if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
 					t.Fatalf("%s: cluster %d basis differs from its truncated SVD at %d", tc.name, c, i)
 				}
+			}
+		}
+	}
+}
+
+// TestClusterDimMatchesJacobiSpectrum checks that d read off the Gram
+// eigendecomposition equals d read off the Jacobi singular values, on
+// exact-rank clusters, noisy ones (σ = 0.01 and 0.05) and rank-deficient
+// ones (fewer directions than points, duplicated and zero columns), tall
+// and wide.
+func TestClusterDimMatchesJacobiSpectrum(t *testing.T) {
+	rng := rand.New(rand.NewSource(170))
+	for _, tc := range []struct {
+		name       string
+		n, d, pts  int
+		sigma      float64
+		duplicates bool
+	}{
+		{"exact 20×15 rank 5", 20, 5, 15, 0, false},
+		{"exact 64×20 rank 4", 64, 4, 20, 0, false},
+		{"exact wide 8×15 rank 3", 8, 3, 15, 0, false},
+		{"σ=0.01 20×15", 20, 5, 15, 0.01, false},
+		{"σ=0.05 20×15", 20, 5, 15, 0.05, false},
+		{"σ=0.01 64×20", 64, 4, 20, 0.01, false},
+		{"σ=0.05 64×20", 64, 4, 20, 0.05, false},
+		{"σ=0.05 wide 8×15", 8, 3, 15, 0.05, false},
+		{"rank-deficient 20×15 with repeats", 20, 2, 15, 0, true},
+		{"rank-deficient 64×20 rank 1", 64, 1, 20, 0, true},
+	} {
+		for trial := 0; trial < 20; trial++ {
+			ds := synth.RandomSubspaces(tc.n, tc.d, 1, rng).Sample(tc.pts, rng)
+			if tc.sigma > 0 {
+				ds = ds.AddNoise(tc.sigma, rng)
+			}
+			sub := ds.X
+			if tc.duplicates {
+				col := sub.Col(0, nil)
+				sub.SetCol(1, col)
+				sub.SetCol(2, col)
+				sub.SetCol(3, make([]float64, tc.n))
+			}
+			maxDim := min(tc.n, tc.pts)
+			want := dimFromSpectrum(mat.SingularValues(sub), maxDim)
+			if _, got := clusterBasis(sub, 0); got != want {
+				t.Fatalf("%s, trial %d: d=%d from the Gram spectrum, %d from Jacobi", tc.name, trial, got, want)
 			}
 		}
 	}

@@ -84,25 +84,22 @@ func LocalClusterAndSample(x *mat.Dense, opts LocalOptions, rng *rand.Rand) Loca
 // clusterBasis recovers one cluster's orthonormal subspace basis and its
 // dimension. With a TargetDim override the dimension is known up front and
 // only a truncated factorization runs (the randomized range-finder path
-// for large clusters). Otherwise the dimension is read off one
-// values-only factorization — whose spectrum both drives the gap estimate
-// and replaces the separate rank factorization the flat-spectrum fallback
-// used to pay for — before the truncated solve recovers the basis.
+// for large clusters). Otherwise one eigendecomposition of the cluster's
+// smaller Gram matrix yields the spectrum d is read from and, at the
+// shapes where the truncated SVD takes its exact Gram path, the basis
+// itself (mat.TruncatedSVDPick).
 func clusterBasis(sub *mat.Dense, targetDim int) (*mat.Dense, int) {
-	n, cols := sub.Dims()
-	maxDim := n
-	if cols < maxDim {
-		maxDim = cols
+	maxDim := min(sub.Rows(), sub.Cols())
+	if targetDim > 0 {
+		d := min(targetDim, maxDim)
+		basis, _ := mat.TruncatedSVD(sub, d)
+		return basis, d
 	}
-	d := targetDim
-	if d > 0 {
-		if d > maxDim {
-			d = maxDim
-		}
-	} else {
-		d = dimFromSpectrum(mat.SingularValues(sub), maxDim)
-	}
-	basis, _ := mat.TruncatedSVD(sub, d)
+	var d int
+	basis, _ := mat.TruncatedSVDPick(sub, func(s []float64) int {
+		d = dimFromSpectrum(s, maxDim)
+		return d
+	})
 	return basis, d
 }
 
@@ -111,7 +108,11 @@ func clusterBasis(sub *mat.Dense, targetDim int) (*mat.Dense, int) {
 // rank by the largest multiplicative gap — robust to the noise floor real
 // data puts under the true subspace spectrum (a fixed tolerance would
 // read the noise as extra dimensions). rankTol only marks where the
-// spectrum has decayed to negligible.
+// spectrum has decayed to negligible. The spectrum comes from a Gram
+// eigendecomposition, whose rounding floor sits near 1e-8·s₀: well below
+// rankTol, so an exact-rank cluster still ends at its rank. The 1e-9
+// floor of the flat-spectrum branch is reached only when every value
+// checked stayed above rankTol.
 func dimFromSpectrum(s []float64, maxDim int) int {
 	if len(s) == 0 || s[0] <= 0 {
 		return 1
