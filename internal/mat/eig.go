@@ -184,7 +184,7 @@ type planeRot struct {
 // per-element operations of the eager column-by-column loop — and streams
 // contiguously over each row instead of striding down columns.
 func applyRots(z *Dense, rots []planeRot) {
-	if len(rots) == 0 {
+	if z == nil || len(rots) == 0 {
 		return
 	}
 	n := z.Rows()
@@ -261,7 +261,9 @@ func applyRots(z *Dense, rots []planeRot) {
 // contain the transform from tred2, or the identity for a tridiagonal
 // input). On return d holds the eigenvalues (unsorted). The eigenvector
 // rotations of each QL step are buffered and applied as one blocked,
-// row-parallel pass (see applyRots).
+// row-parallel pass (see applyRots). A nil z runs values only: the
+// rotations never feed back into d and e, so the eigenvalues are the
+// same bits either way.
 func tqli(d, e []float64, z *Dense) {
 	n := len(d)
 	for i := 1; i < n; i++ {

@@ -3,31 +3,38 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // SymEigenPartial computes the k smallest eigenpairs of the symmetric
-// matrix a without ever forming the full decomposition: Householder
-// tridiagonalization with the reflectors stored rather than accumulated
-// (tred1), Sturm-sequence bisection for the k smallest eigenvalues of
-// the tridiagonal, inverse iteration for their tridiagonal
-// eigenvectors — with the cluster orthogonalization repeated or
-// near-equal eigenvalues require — and an O(n²k) back-transform through
-// the stored reflectors. The full solver pays O(n³) twice more (the
-// transform accumulation and the QL rotation stream); at k ≪ n this
-// path skips both, which is the win the spectral pipeline below
-// denseEigCutoff sees.
+// matrix a without ever forming the full decomposition: it is
+// SymEigenSmallest with vectors for all k values.
+func SymEigenPartial(a *Dense, k int) Eigen { return SymEigenSmallest(a, k, nil) }
+
+// SymEigenSmallest computes the k smallest eigenvalues of the symmetric
+// matrix a, then eigenvectors for only the pick(values) smallest of
+// them (all k when pick is nil) — the shape of an eigengap estimate,
+// which reads the whole band of values but the vectors of the count it
+// chooses. It tridiagonalizes once with the reflectors stored rather
+// than accumulated (tred1). The values come from Sturm-sequence
+// bisection when 2k ≤ n; otherwise, where extracting nearly every value
+// one by one loses, from a values-only QL run on the same tridiagonal,
+// bit-identical to SymEigen(a).Values[:k]. The vectors come from
+// inverse iteration on the tridiagonal — with the cluster
+// orthogonalization repeated or near-equal eigenvalues require — and an
+// O(n²m) back-transform through the stored reflectors for the m vectors
+// picked. The full solver pays O(n³) twice more (the transform
+// accumulation and the QL rotation stream), which this path skips.
 //
 // Only the lower triangle of a is read; a is not modified. Eigenvalues
-// are returned ascending with the matching orthonormal eigenvectors as
-// columns.
-func SymEigenPartial(a *Dense, k int) Eigen {
+// are returned ascending, with the matching orthonormal eigenvectors as
+// the columns of an n×m Vectors. pick must not modify its argument.
+func SymEigenSmallest(a *Dense, k int, pick func(vals []float64) int) Eigen {
 	n := a.Rows()
 	if a.Cols() != n {
-		panic("mat: SymEigenPartial requires a square matrix")
+		panic("mat: SymEigenSmallest requires a square matrix")
 	}
-	if k > n {
-		k = n
-	}
+	k = min(k, n)
 	if n == 0 || k <= 0 {
 		return Eigen{Values: []float64{}, Vectors: NewDense(n, 0)}
 	}
@@ -37,9 +44,22 @@ func SymEigenPartial(a *Dense, k int) Eigen {
 	e := make([]float64, n)
 	hs := make([]float64, n)
 	tred1(z, d, e, hs)
-	vals := bisectSmallest(d, e, k)
-	vecs := NewDense(n, k)
-	inverseIterate(d, e, vals, vecs)
+	var vals []float64
+	if 2*k <= n {
+		vals = bisectSmallest(d, e, k)
+	} else {
+		// tqli overwrites its tridiagonal; inverse iteration needs it.
+		vals = append([]float64(nil), d...)
+		tqli(vals, append([]float64(nil), e...), nil)
+		sort.Float64s(vals)
+		vals = vals[:k]
+	}
+	m := k
+	if pick != nil {
+		m = max(0, min(pick(vals), k))
+	}
+	vecs := NewDense(n, m)
+	inverseIterate(d, e, vals[:m], vecs)
 	backTransform(z, hs, vecs)
 	return Eigen{Values: vals, Vectors: vecs}
 }

@@ -30,17 +30,9 @@ func LaplacianEigs(w *sparse.CSR, k int, rng *rand.Rand) ([]float64, *mat.Dense)
 	if k > n {
 		k = n
 	}
-	dinv := invSqrtDegrees(w)
-	m := w.DiagScale(dinv, dinv) // normalized affinity D^{-1/2} W D^{-1/2}
+	m := normalizedAffinity(w)
 	if n <= denseEigCutoff {
-		dense := mat.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			dense.Set(i, i, 1)
-			m.Row(i, func(j int, v float64) {
-				dense.Add(i, j, -v)
-			})
-		}
-		dense.Symmetrize()
+		dense := denseLaplacian(m)
 		// Embeddings want k ≪ n eigenpairs; the partial solver skips the
 		// full solver's transform accumulation and QL sweep in that
 		// regime. Eigengap estimation asks for k ≈ n, where extracting
@@ -91,6 +83,26 @@ func clampEigs(v []float64) []float64 {
 	return v
 }
 
+// normalizedAffinity returns D^{-1/2} W D^{-1/2}.
+func normalizedAffinity(w *sparse.CSR) *sparse.CSR {
+	dinv := invSqrtDegrees(w)
+	return w.DiagScale(dinv, dinv)
+}
+
+// denseLaplacian returns L = I − m for the normalized affinity m.
+func denseLaplacian(m *sparse.CSR) *mat.Dense {
+	n, _ := m.Dims()
+	dense := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		dense.Set(i, i, 1)
+		m.Row(i, func(j int, v float64) {
+			dense.Add(i, j, -v)
+		})
+	}
+	dense.Symmetrize()
+	return dense
+}
+
 func invSqrtDegrees(w *sparse.CSR) []float64 {
 	d := w.RowSums()
 	for i, v := range d {
@@ -128,41 +140,45 @@ func Cluster(w *sparse.CSR, k int, rng *rand.Rand) []int {
 
 // normalizeEmbedding scales every row of the spectral embedding to unit
 // norm. A zero-degree (isolated) vertex is untouched by the bottom-band
-// eigenvectors, so its row comes out all-zero, and mat.Normalize would
-// leave it at the origin — equidistant from every centroid on the unit
-// sphere, so k-means attaches it to whichever cluster the seeding
-// happens to favor, a degenerate tie that flips with the rng. Zero rows
-// are instead mapped to the canonical unit embedding e₀, giving every
-// isolated vertex the same well-defined position (and therefore the
-// same, seed-independent assignment). The zero test is a tolerance, not
-// exact: iterative eigensolvers (partial inverse iteration, Lanczos)
-// leave O(machine-eps) noise in structurally-zero rows, and normalizing
-// that noise would put the vertex at an arbitrary solver-dependent spot
-// on the sphere. Columns are unit vectors, so true signal rows are far
-// above the threshold.
+// eigenvectors, so its row comes out all-zero; mat.Normalize would leave
+// it at the origin, equidistant from every centroid, a tie the k-means
+// rng decides. Zero rows instead copy the unit row of the first vertex
+// whose row is not zero, so isolated vertices join that vertex's
+// cluster. A fixed point such as e₀ would depend on the solver: a
+// repeated eigenvalue (disconnected blocks) has any orthonormal basis of
+// its eigenspace as eigenvectors, and e₀ could land with one block or
+// across from both, merging them. A copied row rotates with the basis,
+// and k-means does not see rotations. The zero test is a tolerance:
+// iterative eigensolvers leave O(machine-eps) noise in structurally-zero
+// rows, while columns are unit vectors, so signal rows are far above it.
 func normalizeEmbedding(emb *mat.Dense) {
 	const zeroRow = 1e-8
-	r, _ := emb.Dims()
-	for i := 0; i < r; i++ {
+	r, c := emb.Dims()
+	anchor := make([]float64, c)
+	anchor[0] = 1 // only if every row is zero
+	var zero []int
+	for i := r - 1; i >= 0; i-- {
 		row := emb.Row(i)
 		if mat.Norm2(row) < zeroRow {
-			for j := range row {
-				row[j] = 0
-			}
-			row[0] = 1
+			zero = append(zero, i)
 			continue
 		}
 		mat.Normalize(row)
+		anchor = row
+	}
+	for _, i := range zero {
+		copy(emb.Row(i), anchor)
 	}
 }
 
 // EstimateAndCluster estimates the cluster count r and clusters over one
 // Laplacian eigendecomposition: it picks r by the eigengap heuristic
 // (scoreEigengap, searched in [1, maxK]; maxK <= 0 searches the whole
-// spectrum) and then segments the graph into r clusters by reusing the
-// bottom r eigenvectors it already computed. This is the hot path of
-// Fed-SC's local phase, where running the two steps separately would
-// double the dominant dense-eigendecomposition cost.
+// spectrum) and then segments the graph into r clusters by the bottom r
+// eigenvectors. This is the hot path of Fed-SC's local phase. Up to
+// denseEigCutoff the eigengap reads the values first and inverse
+// iteration computes the vectors of the chosen r only
+// (mat.SymEigenSmallest); above it, Lanczos computes the band at once.
 func EstimateAndCluster(w *sparse.CSR, maxK int, rng *rand.Rand) (int, []int) {
 	n, _ := w.Dims()
 	if n <= 1 {
@@ -173,23 +189,24 @@ func EstimateAndCluster(w *sparse.CSR, maxK int, rng *rand.Rand) (int, []int) {
 	if maxK > 0 && maxK < limit {
 		limit = maxK
 	}
-	vals, vecs := LaplacianEigs(w, limit+1, rng)
-	r := scoreEigengap(vals, limit)
+	var r int
+	var emb *mat.Dense
+	if n <= denseEigCutoff {
+		eig := mat.SymEigenSmallest(denseLaplacian(normalizedAffinity(w)), limit+1, func(vals []float64) int {
+			// Clamp a copy: inverse iteration shifts by the raw values.
+			r = scoreEigengap(clampEigs(append([]float64(nil), vals...)), limit)
+			return r
+		})
+		emb = eig.Vectors
+	} else {
+		vals, vecs := LaplacianEigs(w, limit+1, rng)
+		r = scoreEigengap(vals, limit)
+		emb = vecs.SliceCols(0, r)
+	}
+	// scoreEigengap keeps r within [1, limit] ⊂ [1, n−1].
 	if r <= 1 {
 		return r, make([]int, n)
 	}
-	if r >= n {
-		labels := make([]int, n)
-		for i := range labels {
-			labels[i] = i
-		}
-		return r, labels
-	}
-	idx := make([]int, r)
-	for i := range idx {
-		idx[i] = i
-	}
-	emb := vecs.SelectCols(idx)
 	normalizeEmbedding(emb)
 	res := kmeans.Run(emb, r, rng, kmeans.Options{Restarts: 8})
 	return r, res.Labels
