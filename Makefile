@@ -27,9 +27,12 @@ race:
 	$(GO) test -short -race ./...
 
 # Fuzz the Lasso homotopy for 10 s: every answer must meet the KKT
-# conditions of its problem (see FuzzGram in internal/lasso).
+# conditions of its problem (see FuzzGram in internal/lasso). Then fuzz
+# the CSR builder for 10 s against a dense input-order accumulation
+# (see FuzzNewCSR in internal/sparse).
 fuzz:
 	$(GO) test ./internal/lasso -run '^$$' -fuzz '^FuzzGram$$' -fuzztime 10s
+	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzNewCSR$$' -fuzztime 10s
 
 # Project-specific static analysis: the determinism, error-handling,
 # and connection-deadline contracts plus the concurrency-lifecycle pack
