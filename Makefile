@@ -27,12 +27,16 @@ race:
 	$(GO) test -short -race ./...
 
 # Fuzz the Lasso homotopy for 10 s: every answer must meet the KKT
-# conditions of its problem (see FuzzGram in internal/lasso). Then fuzz
-# the CSR builder for 10 s against a dense input-order accumulation
-# (see FuzzNewCSR in internal/sparse).
+# conditions of its problem and match the reference homotopy to the bit
+# (see FuzzGram in internal/lasso). Then fuzz the CSR builder for 10 s
+# against a dense input-order accumulation (see FuzzNewCSR in
+# internal/sparse), and the values-first eigensolver for 10 s against
+# SymEigen's values on graph Laplacians (see FuzzSymEigenSmallest in
+# internal/mat).
 fuzz:
 	$(GO) test ./internal/lasso -run '^$$' -fuzz '^FuzzGram$$' -fuzztime 10s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzNewCSR$$' -fuzztime 10s
+	$(GO) test ./internal/mat -run '^$$' -fuzz '^FuzzSymEigenSmallest$$' -fuzztime 10s
 
 # Project-specific static analysis: the determinism, error-handling,
 # and connection-deadline contracts plus the concurrency-lifecycle pack

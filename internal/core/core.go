@@ -74,11 +74,13 @@ type CentralOptions struct {
 	Method CentralMethod
 	// SSC tunes the server-side SSC when Method is CentralSSC.
 	SSC subspace.SSCOptions
-	// Shards splits the pooled matrix into this many round-robin column
-	// shards, solved concurrently and merged by subspace affinity
-	// (see internal/core/shard.go). 0 or 1 runs the exact single-pass
-	// solve, bit-identical to the pre-sharding behavior. The count is
-	// clamped so every shard keeps at least L columns.
+	// Shards deals the pooled columns into this many shards, cutting a
+	// permutation drawn from the round's rng so shard sizes differ by at
+	// most one. The shards are solved concurrently and merged by
+	// subspace affinity (see internal/core/shard.go). 0 or 1 runs the
+	// exact single-pass solve, bit-identical to the pre-sharding
+	// behavior. The count is clamped so every shard keeps at least L
+	// columns.
 	Shards int
 	// SketchSize, when positive and below the ambient dimension,
 	// row-compresses the pooled matrix to this many rows with a Gaussian

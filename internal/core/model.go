@@ -136,10 +136,21 @@ func (m *Model) Encode(w io.Writer) error {
 	return nil
 }
 
-// DecodeModel reads a gob model artifact from r and validates it.
+// maxModelBytes bounds the encoded model DecodeModel reads. The models
+// the benchmark workloads deploy take tens of KB; simulated EMNIST's 62
+// clusters with 8-dimensional bases in R^256 would take about 1 MB, which
+// the cap exceeds 16 times.
+const maxModelBytes = 16 << 20
+
+// DecodeModel reads a gob model artifact from r and validates it. It
+// reads at most maxModelBytes and refuses a larger artifact.
 func DecodeModel(r io.Reader) (*Model, error) {
 	var m Model
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
+	lr := &io.LimitedReader{R: r, N: maxModelBytes}
+	if err := gob.NewDecoder(lr).Decode(&m); err != nil {
+		if lr.N == 0 {
+			return nil, fmt.Errorf("core: decode model: artifact exceeds the %d-byte limit", maxModelBytes)
+		}
 		return nil, fmt.Errorf("core: decode model: %w", err)
 	}
 	if err := m.Validate(); err != nil {

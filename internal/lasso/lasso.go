@@ -11,6 +11,14 @@
 // without touching the ambient dimension, which is the efficient regime
 // for the self-expression problems in SSC where one Gram matrix is shared
 // by every column of the dataset.
+//
+// Its factor is the lower Cholesky factor of G_AA + λ₂I, packed by
+// columns with room for a row count that doubles with the active set,
+// together with the forward solve L⁻¹ sign(c_A), which a join extends by
+// one entry and a drop re-solves from the dropped position on. A path
+// step then costs one back substitution down contiguous columns and one
+// pass of G_{:,A} w, four rows of G at a time. Every output entry comes
+// from one fixed order of floating-point operations (DESIGN.md §5).
 package lasso
 
 import (
@@ -84,10 +92,7 @@ func Gram(g *mat.Dense, b []float64, lambda1, lambda2 float64, banned []int) []f
 	dropped, left := -1, 0.0 // last dropped atom and its sign
 	for step := 0; step < 8*n; step++ {
 		w := f.direction()
-		clear(a)
-		for k, j := range f.active {
-			mat.Axpy(w[k], g.Row(j), a) // G is symmetric: row j is column j
-		}
+		mulActive(g, f.active, w, a)
 		gamma, event, sign := lam-lambda1, -1, 0.0
 		for j, p := range pos {
 			switch {
@@ -140,14 +145,38 @@ func Gram(g *mat.Dense, b []float64, lambda1, lambda2 float64, banned []int) []f
 	return c
 }
 
+// mulActive sets a = G_{:,A} w, four rows of G per pass over a. Each
+// entry still adds its terms in active-set order, as one Axpy per row
+// would.
+func mulActive(g *mat.Dense, active []int, w, a []float64) {
+	clear(a)
+	n, k := len(a), 0
+	for ; k+4 <= len(active); k += 4 {
+		r0, r1, r2, r3 := g.Row(active[k])[:n], g.Row(active[k+1])[:n], g.Row(active[k+2])[:n], g.Row(active[k+3])[:n]
+		w0, w1, w2, w3 := w[k], w[k+1], w[k+2], w[k+3]
+		for i := range a {
+			a[i] = a[i] + w0*r0[i] + w1*r1[i] + w2*r2[i] + w3*r3[i]
+		}
+	}
+	for ; k < len(active); k++ {
+		mat.Axpy(w[k], g.Row(active[k]), a)
+	}
+}
+
 // factor is the active set of the homotopy with the lower Cholesky factor
-// of G_AA + λ₂I, packed by rows (row i starts at i(i+1)/2) so it grows
-// with the active set instead of being allocated at the full n×n.
+// L of G_AA + λ₂I and the forward solve z = L⁻¹ sign, kept across steps.
+// L is packed by columns with room for ld rows, so the triangular sweeps
+// walk contiguous memory; ld doubles (up to the atom count) when the
+// active set outgrows it, so the storage stays O(|A|²).
 type factor struct {
 	active []int     // atoms in join order
 	sign   []float64 // sign of each active coefficient
-	l      []float64 // packed lower Cholesky factor
+	z      []float64 // L⁻¹ sign
 	w      []float64 // (G_AA + λ₂I)⁻¹ sign
+	row    []float64 // a joining atom's row of L
+	acc    []float64 // forward-solve partial sums
+	l      []float64 // L[i][k] at l[off(k)+i], off(k) = k·ld − k(k+1)/2
+	ld     int
 }
 
 // workState is one solve's working state. Solves take it from statePool
@@ -164,48 +193,83 @@ var statePool = sync.Pool{New: func() any { return new(workState) }}
 func (s *workState) reset(n int) {
 	s.pos = slices.Grow(s.pos[:0], n)[:n]
 	s.work = slices.Grow(s.work[:0], 2*n)[:2*n]
-	s.f.active, s.f.sign, s.f.l = s.f.active[:0], s.f.sign[:0], s.f.l[:0]
+	s.f.active, s.f.sign, s.f.z = s.f.active[:0], s.f.sign[:0], s.f.z[:0]
 }
 
-func rowStart(i int) int { return i * (i + 1) / 2 }
+// col returns column k of L indexed by row, up to row m−1. Only rows k..
+// are stored there; the lower indices alias the column before.
+func (f *factor) col(k, m int) []float64 {
+	off := k*f.ld - k*(k+1)/2
+	return f.l[off : off+m]
+}
 
-// direction solves L Lᵀ w = sign by forward and back substitution.
+// direction solves Lᵀ w = z by back substitution, each row's terms
+// subtracted from k = i+1 upward.
 func (f *factor) direction() []float64 {
-	w := append(f.w[:0], f.sign...)
+	w := append(f.w[:0], f.z...)
 	m := len(w)
-	for i := 0; i < m; i++ {
-		row := f.l[rowStart(i) : rowStart(i)+i+1]
-		w[i] = (w[i] - mat.Dot(row[:i], w[:i])) / row[i]
-	}
 	for i := m - 1; i >= 0; i-- {
+		col := f.col(i, m)
 		s := w[i]
 		for k := i + 1; k < m; k++ {
-			s -= f.l[rowStart(k)+i] * w[k]
+			s -= col[k] * w[k]
 		}
-		w[i] = s / f.l[rowStart(i)+i]
+		w[i] = s / col[i]
 	}
 	f.w = w
 	return w
 }
 
+// solve overwrites x[p:] with entries p.. of L⁻¹x, where x[:p] is solved
+// already. It runs by column axpys, yet each entry sums its terms
+// t = 0, 1, … from zero, as a row dot product does.
+func (f *factor) solve(x []float64, p int) {
+	m := len(x)
+	acc := slices.Grow(f.acc[:0], m)[:m]
+	clear(acc[p:])
+	for t := range m {
+		col := f.col(t, m)
+		if t >= p {
+			x[t] = (x[t] - acc[t]) / col[t]
+		}
+		if lo := max(t+1, p); lo < m {
+			mat.Axpy(x[t], col[lo:], acc[lo:])
+		}
+	}
+	f.acc = acc
+}
+
 // join appends atom j with the given sign, adding one row to the factor
-// in O(|A|²). It reports false, leaving the factor unchanged, when the
-// new pivot is at most 1e-12·(G_jj + λ₂): the atom is then numerically
-// in the span of the active set.
+// in O(|A|²) and one entry to z in O(|A|). It reports false, leaving the
+// factor unchanged, when the new pivot is at most 1e-12·(G_jj + λ₂): the
+// atom is then numerically in the span of the active set.
 func (f *factor) join(g *mat.Dense, j int, sign, lambda2 float64) bool {
 	gj := g.Row(j)
-	base := len(f.l)
-	for k, i := range f.active {
-		row := f.l[rowStart(k) : rowStart(k)+k+1]
-		f.l = append(f.l, (gj[i]-mat.Dot(row[:k], f.l[base:base+k]))/row[k])
+	row := f.row[:0]
+	for _, i := range f.active {
+		row = append(row, gj[i])
 	}
-	z := f.l[base:]
-	d := gj[j] + lambda2 - mat.Dot(z, z)
+	f.row = row
+	f.solve(row, 0)
+	d := gj[j] + lambda2 - mat.Dot(row, row)
 	if d <= 1e-12*(gj[j]+lambda2) {
-		f.l = f.l[:base]
 		return false
 	}
-	f.l = append(f.l, math.Sqrt(d))
+	m := len(f.active)
+	if m == f.ld {
+		old := *f
+		f.ld = min(max(8, 2*f.ld), len(gj))
+		f.l = make([]float64, f.ld*(f.ld+1)/2)
+		for k := range m {
+			copy(f.col(k, m)[k:], old.col(k, m)[k:])
+		}
+	}
+	for k, v := range row {
+		f.col(k, m+1)[m] = v
+	}
+	piv := math.Sqrt(d)
+	f.col(m, m+1)[m] = piv
+	f.z = append(f.z, (sign-mat.Dot(row, f.z))/piv)
 	f.active = append(f.active, j)
 	f.sign = append(f.sign, sign)
 	return true
@@ -213,25 +277,28 @@ func (f *factor) join(g *mat.Dense, j int, sign, lambda2 float64) bool {
 
 // drop removes the atom at position p. Deleting row p of L leaves rows
 // p+1.. with one entry above the diagonal; Givens rotations on column
-// pairs (k, k+1) zero those entries, and the emptied last column goes.
+// pairs (k, k+1) zero those entries while shifting column k up a row,
+// the columns left of p shift up past row p, and the emptied last column
+// goes. Rows above p keep their entries, so z is re-solved from p on.
 func (f *factor) drop(p int) {
 	m := len(f.active)
 	for k := p; k < m-1; k++ {
-		top := rowStart(k + 1)
-		h := math.Hypot(f.l[top+k], f.l[top+k+1])
-		cs, sn := f.l[top+k]/h, f.l[top+k+1]/h
+		ck, cn := f.col(k, m), f.col(k+1, m)
+		h := math.Hypot(ck[k+1], cn[k+1])
+		cs, sn := ck[k+1]/h, cn[k+1]/h
 		for i := k + 1; i < m; i++ {
-			ri := rowStart(i)
-			x, y := f.l[ri+k], f.l[ri+k+1]
-			f.l[ri+k], f.l[ri+k+1] = cs*x+sn*y, cs*y-sn*x
+			x, y := ck[i], cn[i]
+			ck[i-1], cn[i] = cs*x+sn*y, cs*y-sn*x
 		}
 	}
-	for i := p; i < m-1; i++ {
-		copy(f.l[rowStart(i):rowStart(i)+i+1], f.l[rowStart(i+1):])
+	for k := range p {
+		ck := f.col(k, m)
+		copy(ck[p:], ck[p+1:])
 	}
-	f.l = f.l[:rowStart(m-1)]
 	f.active = slices.Delete(f.active, p, p+1)
 	f.sign = slices.Delete(f.sign, p, p+1)
+	f.z = append(f.z[:p], f.sign[p:]...)
+	f.solve(f.z, p)
 }
 
 // Lasso solves min_c (1/2)‖y − Xc‖² + λ‖c‖₁ with optional banned

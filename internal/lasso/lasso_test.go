@@ -332,9 +332,83 @@ func TestGramReachesOptimum(t *testing.T) {
 	}
 }
 
+// sscDictionary returns a d×n dictionary with unit columns, of one of the
+// kinds the self-expression step meets: "random" Gaussian atoms, a
+// low-rank "union" of three subspaces, a "duplicate" whose last atom
+// copies atom 0, or a "tilted" one whose last atom is atom 0 moved by
+// 1e-7·N(0,1).
+func sscDictionary(kind string, d, n int, rng *rand.Rand) *mat.Dense {
+	var x *mat.Dense
+	if kind == "union" {
+		x = mat.NewDense(d, n)
+		bases := make([]*mat.Dense, 3)
+		for i := range bases {
+			bases[i] = mat.RandomGaussian(d, 1+rng.Intn(max(1, min(d, 6))), rng)
+		}
+		for j := 0; j < n; j++ {
+			basis := bases[j%3]
+			col := mat.MulVec(basis, mat.RandomUnitVector(basis.Cols(), rng))
+			for i, v := range col {
+				x.Set(i, j, v)
+			}
+		}
+	} else {
+		x = mat.RandomGaussian(d, n, rng)
+	}
+	if n > 1 && (kind == "duplicate" || kind == "tilted") {
+		for i := 0; i < d; i++ {
+			v := x.At(i, 0)
+			if kind == "tilted" {
+				v += 1e-7 * rng.NormFloat64()
+			}
+			x.Set(i, n-1, v)
+		}
+	}
+	mat.NormalizeColumns(x)
+	return x
+}
+
+// sameBits reports the first index where got and want differ in any bit,
+// or -1.
+func sameBits(got, want []float64) int {
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			return j
+		}
+	}
+	return -1
+}
+
+// TestGramBitIdenticalToReference holds Gram to gramReference bit for bit
+// on self-expression problems shaped as SSC poses them: unit atoms, the
+// point's own atom banned, and λ₁ = max correlation/α for α in [2, 100].
+func TestGramBitIdenticalToReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(70))
+	for _, kind := range []string{"random", "union", "duplicate", "tilted"} {
+		for _, l2 := range []float64{0, 0.3} {
+			for _, shape := range [][2]int{{5, 12}, {20, 30}, {12, 60}, {256, 120}, {40, 130}} {
+				d, n := shape[0], shape[1]
+				x := sscDictionary(kind, d, n, rng)
+				g := mat.Gram(x)
+				for _, i := range []int{0, n - 1, rng.Intn(n), rng.Intn(n)} {
+					b := g.Row(i)
+					self := []int{i}
+					alpha := 2 + 98*rng.Float64()
+					l1 := MaxCorrelation(b, self) / alpha
+					got, want := Gram(g, b, l1, l2, self), gramReference(g, b, l1, l2, self)
+					if j := sameBits(got, want); j >= 0 {
+						t.Fatalf("%s d=%d n=%d i=%d α=%v λ₂=%v: c[%d] = %v, reference %v", kind, d, n, i, alpha, l2, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzGram checks the KKT conditions of the homotopy's answer on random
-// dictionaries: dims and atoms come from the fuzzer, and dup copies atom
-// 0 over the last atom so exact linear dependence is covered too.
+// dictionaries, and that it matches gramReference to the bit: dims and
+// atoms come from the fuzzer, and dup copies atom 0 over the last atom so
+// exact linear dependence is covered too.
 func FuzzGram(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(30), 0.02, 0.0, uint8(0), false)
 	f.Add(int64(2), uint8(5), uint8(40), 0.01, 0.0, uint8(3), false)
@@ -365,5 +439,171 @@ func FuzzGram(f *testing.F) {
 		if err := kktViolation(g, b, c, l1, l2, banned); err != nil {
 			t.Fatal(err)
 		}
+		want := gramReference(g, b, l1, l2, banned)
+		if j := sameBits(c, want); j >= 0 {
+			t.Fatalf("c[%d] = %v, reference %v", j, c[j], want[j])
+		}
 	})
+}
+
+// gramReference is the homotopy as it stood before Gram kept the forward
+// solve across steps and stored its factor by columns. Gram must match it
+// to the bit on every input.
+func gramReference(g *mat.Dense, b []float64, lambda1, lambda2 float64, banned []int) []float64 {
+	n := len(b)
+	if g.Rows() != n || g.Cols() != n {
+		panic("lasso: Gram dimension mismatch")
+	}
+	c := make([]float64, n)
+	lam := MaxCorrelation(b, banned)
+	if lam <= lambda1 {
+		return c
+	}
+	const (
+		free = -1 // may join the active set
+		out  = -2 // banned, or set aside as numerically in span(A)
+	)
+	pos, f := make([]int, n), &refFactor{}
+	r, a := make([]float64, n), make([]float64, n)
+	for j := range pos {
+		pos[j] = free
+	}
+	for _, j := range banned {
+		pos[j] = out
+	}
+	copy(r, b)
+	dropped, left := -1, 0.0 // last dropped atom and its sign
+	for step := 0; step < 8*n; step++ {
+		w := f.direction()
+		clear(a)
+		for k, j := range f.active {
+			mat.Axpy(w[k], g.Row(j), a) // G is symmetric: row j is column j
+		}
+		gamma, event, sign := lam-lambda1, -1, 0.0
+		for j, p := range pos {
+			switch {
+			case p >= 0:
+				// Clamped at 0 so a coefficient that rounding left at or
+				// past zero (a tie with the last drop) drops at once.
+				if w[p]*f.sign[p] < 0 {
+					if t := max(0, -c[j]/w[p]); t < gamma {
+						gamma, event = t, j
+					}
+				}
+			case p == free:
+				// A just-dropped atom sits on the boundary it left; in the
+				// next piece only the opposite boundary can take it back.
+				if d := 1 - a[j]; d > 0 && (j != dropped || left < 0) {
+					if t := max(0, lam-r[j]) / d; t < gamma {
+						gamma, event, sign = t, j, 1
+					}
+				}
+				if d := 1 + a[j]; d > 0 && (j != dropped || left > 0) {
+					if t := max(0, lam+r[j]) / d; t < gamma {
+						gamma, event, sign = t, j, -1
+					}
+				}
+			}
+		}
+		for k, j := range f.active {
+			c[j] += gamma * w[k]
+		}
+		mat.Axpy(-gamma, a, r)
+		lam -= gamma
+		dropped = -1
+		switch {
+		case event < 0:
+			return c
+		case pos[event] >= 0:
+			c[event] = 0
+			left = f.sign[pos[event]]
+			f.drop(pos[event])
+			for k, j := range f.active {
+				pos[j] = k
+			}
+			pos[event], dropped = free, event
+		case f.join(g, event, sign, lambda2):
+			pos[event] = len(f.active) - 1
+		default:
+			pos[event] = out
+		}
+	}
+	return c
+}
+
+// refFactor is gramReference's factor: the lower Cholesky factor of
+// G_AA + λ₂I packed by rows (row i starts at i(i+1)/2), with both
+// triangles re-solved every step.
+type refFactor struct {
+	active []int     // atoms in join order
+	sign   []float64 // sign of each active coefficient
+	l      []float64 // packed lower Cholesky factor
+	w      []float64 // (G_AA + λ₂I)⁻¹ sign
+}
+
+func rowStart(i int) int { return i * (i + 1) / 2 }
+
+// direction solves L Lᵀ w = sign by forward and back substitution.
+func (f *refFactor) direction() []float64 {
+	w := append(f.w[:0], f.sign...)
+	m := len(w)
+	for i := 0; i < m; i++ {
+		row := f.l[rowStart(i) : rowStart(i)+i+1]
+		w[i] = (w[i] - mat.Dot(row[:i], w[:i])) / row[i]
+	}
+	for i := m - 1; i >= 0; i-- {
+		s := w[i]
+		for k := i + 1; k < m; k++ {
+			s -= f.l[rowStart(k)+i] * w[k]
+		}
+		w[i] = s / f.l[rowStart(i)+i]
+	}
+	f.w = w
+	return w
+}
+
+// join appends atom j with the given sign, adding one row to the factor
+// in O(|A|²). It reports false, leaving the factor unchanged, when the
+// new pivot is at most 1e-12·(G_jj + λ₂): the atom is then numerically
+// in the span of the active set.
+func (f *refFactor) join(g *mat.Dense, j int, sign, lambda2 float64) bool {
+	gj := g.Row(j)
+	base := len(f.l)
+	for k, i := range f.active {
+		row := f.l[rowStart(k) : rowStart(k)+k+1]
+		f.l = append(f.l, (gj[i]-mat.Dot(row[:k], f.l[base:base+k]))/row[k])
+	}
+	z := f.l[base:]
+	d := gj[j] + lambda2 - mat.Dot(z, z)
+	if d <= 1e-12*(gj[j]+lambda2) {
+		f.l = f.l[:base]
+		return false
+	}
+	f.l = append(f.l, math.Sqrt(d))
+	f.active = append(f.active, j)
+	f.sign = append(f.sign, sign)
+	return true
+}
+
+// drop removes the atom at position p. Deleting row p of L leaves rows
+// p+1.. with one entry above the diagonal; Givens rotations on column
+// pairs (k, k+1) zero those entries, and the emptied last column goes.
+func (f *refFactor) drop(p int) {
+	m := len(f.active)
+	for k := p; k < m-1; k++ {
+		top := rowStart(k + 1)
+		h := math.Hypot(f.l[top+k], f.l[top+k+1])
+		cs, sn := f.l[top+k]/h, f.l[top+k+1]/h
+		for i := k + 1; i < m; i++ {
+			ri := rowStart(i)
+			x, y := f.l[ri+k], f.l[ri+k+1]
+			f.l[ri+k], f.l[ri+k+1] = cs*x+sn*y, cs*y-sn*x
+		}
+	}
+	for i := p; i < m-1; i++ {
+		copy(f.l[rowStart(i):rowStart(i)+i+1], f.l[rowStart(i+1):])
+	}
+	f.l = f.l[:rowStart(m-1)]
+	f.active = slices.Delete(f.active, p, p+1)
+	f.sign = slices.Delete(f.sign, p, p+1)
 }

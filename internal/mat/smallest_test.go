@@ -173,3 +173,62 @@ func TestSymEigenSmallestPickClamps(t *testing.T) {
 		t.Fatalf("negative pick gave %d vectors and %d values", eig.Vectors.Cols(), len(eig.Values))
 	}
 }
+
+// FuzzSymEigenSmallest holds the values of SymEigenSmallest with 2k > n
+// to SymEigen's, bit for bit, on Laplacians of random weighted graphs
+// with several components and isolated vertices, combinatorial or
+// normalized: the graphs the eigengap reads, repeated zero eigenvalues
+// and exact zeros off the blocks included.
+func FuzzSymEigenSmallest(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(3), uint8(2), uint8(0), 0.5, true)
+	f.Add(int64(2), uint8(30), uint8(1), uint8(0), uint8(7), 1.0, true)
+	f.Add(int64(3), uint8(9), uint8(4), uint8(3), uint8(1), 0.3, false)
+	f.Add(int64(4), uint8(1), uint8(1), uint8(1), uint8(0), 0.0, true)
+	f.Fuzz(func(t *testing.T, seed int64, size, comps, isolated, kk uint8, density float64, normalized bool) {
+		if math.IsNaN(density) || math.IsInf(density, 0) {
+			t.Skip()
+		}
+		n := 1 + int(size%48)
+		iso := int(isolated) % (n + 1)
+		c := 1 + int(comps)%max(1, n-iso)
+		p := math.Mod(math.Abs(density), 1)
+		rng := rand.New(rand.NewSource(seed))
+		// Vertices from iso on are dealt into c components in a random
+		// order; within a component each edge is present with
+		// probability p, weighted uniformly in (0, 1].
+		comp := make([]int, n)
+		for i, v := range rng.Perm(n) {
+			comp[v] = -1
+			if i >= iso {
+				comp[v] = i % c
+			}
+		}
+		a := NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if comp[i] < 0 || comp[i] != comp[j] || rng.Float64() >= p {
+					continue
+				}
+				w := 1 - rng.Float64()
+				a.Set(i, j, -w)
+				a.Set(j, i, -w)
+				a.Set(i, i, a.At(i, i)+w)
+				a.Set(j, j, a.At(j, j)+w)
+			}
+		}
+		if normalized {
+			a = normalizedLaplacian(a)
+		}
+		k := n/2 + 1 + int(kk)%(n-n/2)
+		want := SymEigen(a).Values
+		eig := SymEigenSmallest(a, k, func(vals []float64) int { return int(kk) % (len(vals) + 1) })
+		if len(eig.Values) != k {
+			t.Fatalf("n=%d k=%d: %d values", n, k, len(eig.Values))
+		}
+		for j, v := range eig.Values {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("n=%d k=%d: value %d is %v, SymEigen gives %v", n, k, j, v, want[j])
+			}
+		}
+	})
+}
