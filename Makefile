@@ -32,11 +32,17 @@ race:
 # against a dense input-order accumulation (see FuzzNewCSR in
 # internal/sparse), and the values-first eigensolver for 10 s against
 # SymEigen's values on graph Laplacians (see FuzzSymEigenSmallest in
-# internal/mat).
+# internal/mat). Then fuzz the serving path's two decoders for 10 s
+# each: /v1/assign bodies must get 200, 400, 413 or 429, with every 200
+# matching the offline engine (FuzzAssign in internal/serve), and a
+# model artifact that decodes must validate and re-encode to the same
+# checksum (FuzzDecodeModel in internal/core).
 fuzz:
 	$(GO) test ./internal/lasso -run '^$$' -fuzz '^FuzzGram$$' -fuzztime 10s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzNewCSR$$' -fuzztime 10s
 	$(GO) test ./internal/mat -run '^$$' -fuzz '^FuzzSymEigenSmallest$$' -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAssign$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 10s
 
 # Project-specific static analysis: the determinism, error-handling,
 # and connection-deadline contracts plus the concurrency-lifecycle pack

@@ -11,8 +11,9 @@
 //
 // Endpoints: POST /v1/assign (single point or batch, optional model
 // routing), GET /v1/models, POST /v1/reload, GET /healthz, GET /metrics
-// (Prometheus text format). Admission control sheds load with 429 once
-// the batcher's bounded queue is full. SIGINT/SIGTERM trigger a
+// (Prometheus text format). Each request is scored on its own handler
+// goroutine; admission control sheds a request with 429 when its points
+// would push the points in flight past -queue. SIGINT/SIGTERM trigger a
 // graceful drain.
 //
 //	curl -s localhost:8080/v1/assign -d '{"model": "cohort-a", "point": [0.1, -0.3, 0.7]}'
@@ -39,10 +40,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		storeDir  = flag.String("store", "", "content-addressed artifact store to serve (all manifest models)")
-		maxBatch  = flag.Int("batch", 64, "max points scored as one blocked batch")
-		batchWait = flag.Duration("batch-wait", 200*time.Microsecond, "how long to hold an underfull batch open")
-		workers   = flag.Int("workers", 0, "batch workers (0 = GOMAXPROCS)")
-		maxQueue  = flag.Int("queue", 0, "admission queue bound in points; beyond it requests get 429 (0 = 64*batch)")
+		maxQueue  = flag.Int("queue", 4096, "bound on points in flight; a request past it gets 429")
 		grace     = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain window")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/pprof and /storez on this address (empty = disabled)")
 	)
@@ -80,20 +78,15 @@ func main() {
 	// Publish the serving metrics on the process-wide registry so the
 	// -debug-addr scrape and the handler's own /metrics agree.
 	metrics := serve.NewMetricsOn(obs.Default())
-	batcher := serve.NewBatcher(reg, metrics, serve.BatcherOptions{
-		MaxBatch: *maxBatch,
-		MaxWait:  *batchWait,
-		Workers:  *workers,
-		MaxQueue: *maxQueue,
-	})
-	handler := serve.NewHandler(reg, batcher, metrics)
+	gate := serve.NewBatcher(reg, metrics, serve.BatcherOptions{MaxQueue: *maxQueue})
+	handler := serve.NewHandler(reg, gate, metrics)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("listen: %v", err)
 	}
 	ctx, cancel := serve.SignalContext(context.Background())
 	defer cancel()
-	log.Printf("fedsc-serve: serving on %s (batch=%d, wait=%s)", ln.Addr(), *maxBatch, *batchWait)
+	log.Printf("fedsc-serve: serving on %s (queue=%d points)", ln.Addr(), *maxQueue)
 	if err := serve.Serve(ctx, ln, handler, *grace); err != nil {
 		fatalf("%v", err)
 	}

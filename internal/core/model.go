@@ -101,10 +101,19 @@ func (m *Model) Validate() error {
 	if m.L != len(m.Clusters) {
 		return fmt.Errorf("core: model declares L=%d but holds %d cluster bases", m.L, len(m.Clusters))
 	}
+	floats := 0
 	for g, c := range m.Clusters {
-		if c.Dim < 0 || len(c.Data) != m.Ambient*c.Dim {
+		// Divide rather than multiply: Ambient·Dim can wrap around. The
+		// test also refuses a Dim and Data that disagree on being empty.
+		if c.Dim < 0 || len(c.Data)%m.Ambient != 0 || len(c.Data)/m.Ambient != c.Dim {
 			return fmt.Errorf("core: cluster %d basis is %d floats, want %dx%d", g, len(c.Data), m.Ambient, c.Dim)
 		}
+		floats += len(c.Data)
+	}
+	// One basis float at least ties Ambient to the artifact's size,
+	// which DecodeModel's read cap bounds.
+	if floats == 0 {
+		return fmt.Errorf("core: model holds no basis floats")
 	}
 	if m.Checksum != m.checksum() {
 		return fmt.Errorf("core: model checksum mismatch (artifact corrupted or tampered)")

@@ -13,7 +13,7 @@ import (
 
 // runSynthetic executes Fed-SC on a clean synthetic union of subspaces
 // and returns the devices, the run result, and the cluster count.
-func runSynthetic(t *testing.T, seed int64) ([]*mat.Dense, core.Result, int) {
+func runSynthetic(t testing.TB, seed int64) ([]*mat.Dense, core.Result, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const n, d, l, z, lPrime, per = 20, 3, 4, 16, 2, 8

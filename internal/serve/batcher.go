@@ -5,21 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fedsc/internal/mat"
 )
 
-// ErrStopped is returned by Assign after the batcher has been stopped.
+// ErrStopped is returned by AssignModel after Stop.
 var ErrStopped = errors.New("serve: batcher stopped")
 
-// ErrOverloaded is returned by Assign when the admission queue is full;
-// the HTTP layer maps it to 429 so saturation sheds load instead of
-// stacking latency until timeouts (or memory) give out.
+// ErrOverloaded is returned by AssignModel when the points in flight would
+// pass MaxQueue; the HTTP layer maps it to 429 so saturation sheds load
+// instead of stacking latency until timeouts (or memory) give out.
 var ErrOverloaded = errors.New("serve: admission queue full")
 
 // Assignment is the answer to one point.
@@ -31,370 +28,156 @@ type Assignment struct {
 	Residual float64 `json:"residual"`
 }
 
-// BatcherOptions sizes the request coalescing and admission control.
+// BatcherOptions sizes admission control.
 type BatcherOptions struct {
-	// MaxBatch is the largest number of points scored as one blocked
-	// matmul per cluster (default 64).
-	MaxBatch int
-	// MaxWait is how long a worker holds an underfull batch open waiting
-	// for more points (default 200µs). Zero keeps the default; a
-	// negative value disables waiting (every request scores alone).
-	MaxWait time.Duration
-	// Workers is the number of batch workers (default GOMAXPROCS).
-	Workers int
-	// MaxQueue bounds the admission queue in points: a request whose
-	// points would push the pending total past it is rejected with
-	// ErrOverloaded instead of queued (default 64*MaxBatch). It must be
-	// at least the largest request a client may send — a single request
-	// bigger than MaxQueue can never be admitted.
+	// MaxQueue bounds the points in flight: a request whose points would
+	// push the total past it is rejected with ErrOverloaded (default
+	// 4096). It must be at least the largest request a client may send —
+	// a single request bigger than MaxQueue can never be admitted.
 	MaxQueue int
 }
 
-func (o BatcherOptions) withDefaults() BatcherOptions {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.MaxWait == 0 {
-		o.MaxWait = 200 * time.Microsecond
-	}
-	if o.MaxWait < 0 {
-		o.MaxWait = 0
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxQueue <= 0 {
-		o.MaxQueue = 64 * o.MaxBatch
-	}
-	return o
-}
-
-// batchRequest is one caller's unit of work: a group of points that must
-// be answered together by one model.
-type batchRequest struct {
-	model string
-	vecs  [][]float64
-	out   chan batchResponse
-}
-
-type batchResponse struct {
-	assignments []Assignment
-	model       string
-	err         error
-}
-
-// Batcher coalesces concurrent assignment requests into blocked batches:
-// each worker collects requests until MaxBatch points are pending or
-// MaxWait has passed since the first, groups them by requested model,
-// stacks each group into one matrix, and scores it with one blocked
-// matmul per cluster via that model's registry snapshot. Workers pull
-// independently, so throughput scales to Workers while a lone request
-// still completes within MaxWait. Admission is bounded: at most
-// MaxQueue points may be pending, and requests beyond that are shed
-// with ErrOverloaded rather than queued.
+// Batcher is the serving tier's admission gate. Each request is scored
+// on its caller's goroutine, as one matrix against one registry
+// snapshot; the Batcher bounds the points in flight at MaxQueue, the
+// way a counting semaphore does, and fences requests against Stop. It
+// keeps the name of the request batcher it replaced because the
+// serving binary and the benchmark construct it by that name.
 type Batcher struct {
-	reg     *Registry
-	metrics *Metrics
-	opts    BatcherOptions
+	reg      *Registry
+	metrics  *Metrics
+	opts     BatcherOptions
+	inFlight atomic.Int64 // points admitted and not yet answered
 
-	reqs     chan *batchRequest
-	queued   atomic.Int64 // points admitted and not yet scored
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	stopOnce sync.Once
-
-	// mu fences Assign's enqueue against Stop: Assign holds the read
-	// lock across the send, Stop flips stopped under the write lock, so
-	// after Stop observes the lock no new request can enter the queue
-	// and the final drain below is complete.
+	// mu fences admission against Stop: admit checks stopped and joins
+	// wg under the read lock, Stop sets stopped under the write lock, so
+	// once Stop holds the lock no request can join wg and its Wait sees
+	// every admitted request.
 	mu      sync.RWMutex
 	stopped bool
+	wg      sync.WaitGroup
 }
 
-// NewBatcher starts the worker pool. Callers must Stop it when done.
+// NewBatcher returns an admission gate over reg that records into
+// metrics, which must not be nil. It starts no goroutine; Stop refuses
+// further requests and waits for those in flight.
 func NewBatcher(reg *Registry, metrics *Metrics, opts BatcherOptions) *Batcher {
-	opts = opts.withDefaults()
-	b := &Batcher{
-		reg:     reg,
-		metrics: metrics,
-		opts:    opts,
-		// Every request carries at least one point and admission caps
-		// pending points at MaxQueue, so a MaxQueue-deep channel can
-		// always absorb an admitted request: admitted sends never block,
-		// and overload surfaces only as ErrOverloaded (429), never as a
-		// stuck client.
-		reqs: make(chan *batchRequest, opts.MaxQueue),
-		stop: make(chan struct{}),
+	if opts.MaxQueue <= 0 {
+		opts.MaxQueue = 4096
 	}
-	b.wg.Add(b.opts.Workers)
-	for i := 0; i < b.opts.Workers; i++ {
-		go b.worker()
-	}
-	return b
+	return &Batcher{reg: reg, metrics: metrics, opts: opts}
 }
 
-// retryAfterSeconds derives a Retry-After hint from the batcher's own
-// drain rate instead of a fixed constant: the queued points form
-// ceil(queued/MaxBatch) batches spread across Workers workers, and
-// each batch window stays open at most MaxWait, so the backlog clears
-// in about ceil(batches/Workers)·MaxWait. The estimate is rounded up
-// to whole seconds (the HTTP header grammar) and clamped to [1, 60]:
-// even an empty or sub-second backlog deserves a beat of backoff, and
-// a minute caps the hint under a pathological queue. opts must have
-// defaults applied.
-func retryAfterSeconds(queued int64, opts BatcherOptions) int {
-	if queued < 0 {
-		queued = 0
+// retryAfterSeconds estimates how long the points in flight take to
+// clear at the measured throughput: assigned points per second of
+// request time (busy). The estimate is rounded up to whole seconds (the
+// HTTP header grammar) and clamped to [1, 60]: even an empty backlog or
+// one with no measurement yet deserves a beat of backoff, and a minute
+// caps the hint under a pathological backlog.
+func retryAfterSeconds(inFlight, assigned int64, busy float64) int {
+	if inFlight <= 0 || assigned <= 0 || busy <= 0 {
+		return 1
 	}
-	batches := (queued + int64(opts.MaxBatch) - 1) / int64(opts.MaxBatch)
-	perWorker := (batches + int64(opts.Workers) - 1) / int64(opts.Workers)
-	secs := int(math.Ceil(float64(perWorker) * opts.MaxWait.Seconds()))
+	secs := math.Ceil(float64(inFlight) * busy / float64(assigned))
 	if secs < 1 {
 		return 1
 	}
 	if secs > 60 {
 		return 60
 	}
-	return secs
+	return int(secs)
 }
 
 // RetryAfter reports, in whole seconds, how long an overloaded caller
-// should wait before retrying, computed from the current queue depth
-// and the pool's drain rate.
+// should wait before retrying: the points in flight divided by the
+// throughput the metrics have measured (points assigned per second of
+// request latency).
 func (b *Batcher) RetryAfter() int {
-	return retryAfterSeconds(b.queued.Load(), b.opts)
+	return retryAfterSeconds(b.inFlight.Load(), b.metrics.Assigned(), b.metrics.latency.Sum())
 }
 
-// Stop shuts the worker pool down: queued requests are still answered,
-// Assign calls arriving after Stop get ErrStopped. Stop is idempotent,
-// and EVERY call — not just the first — returns only once the workers
-// have exited and the queue is drained: Once.Do blocks concurrent
-// callers until the first invocation's shutdown completes, so no caller
-// can observe a half-stopped batcher.
+// Stop refuses new requests, which then get ErrStopped, and returns
+// once every admitted request has been answered. It is idempotent, and
+// every caller, not only the first, waits.
 func (b *Batcher) Stop() {
 	b.mu.Lock()
 	b.stopped = true
 	b.mu.Unlock()
-	b.stopOnce.Do(func() {
-		close(b.stop)
-		b.wg.Wait()
-		// No sender can hold the queue anymore; answer any stragglers the
-		// workers missed between their last drain and exit.
-		for {
-			select {
-			case req := <-b.reqs:
-				b.release(req)
-				req.out <- batchResponse{err: ErrStopped}
-			default:
-				return
-			}
-		}
-	})
+	b.wg.Wait()
 }
 
-// admit reserves queue capacity for the request's points, or reports
-// overload. release is its inverse; every admitted request is released
-// exactly once, when its answer is determined.
-func (b *Batcher) admit(req *batchRequest) bool {
-	n := int64(len(req.vecs))
-	if b.queued.Add(n) > int64(b.opts.MaxQueue) {
-		b.queued.Add(-n)
-		return false
+// admit reserves n points in flight, or reports ErrStopped or
+// ErrOverloaded. Every admitted request calls release exactly once.
+func (b *Batcher) admit(n int64) error {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if b.stopped {
+		return ErrStopped
 	}
-	if b.metrics != nil {
-		b.metrics.QueueAdd(n)
+	if b.inFlight.Add(n) > int64(b.opts.MaxQueue) {
+		b.inFlight.Add(-n)
+		b.metrics.ObserveShed()
+		return ErrOverloaded
 	}
-	return true
+	b.wg.Add(1)
+	b.metrics.QueueAdd(n)
+	return nil
 }
 
-func (b *Batcher) release(req *batchRequest) {
-	n := int64(len(req.vecs))
-	b.queued.Add(-n)
-	if b.metrics != nil {
-		b.metrics.QueueAdd(-n)
-	}
-}
-
-// Assign scores one group of points against the default model; see
-// AssignModel.
-func (b *Batcher) Assign(ctx context.Context, vecs [][]float64) ([]Assignment, string, error) {
-	return b.AssignModel(ctx, "", vecs)
+func (b *Batcher) release(n int64) {
+	b.inFlight.Add(-n)
+	b.metrics.QueueAdd(-n)
+	b.wg.Done()
 }
 
 // AssignModel scores one group of points (each of length ambient) as a
 // unit against the named model (empty = default route) and returns
 // their assignments plus the name of the snapshot that scored them. It
-// blocks until a batch containing the group is scored, ctx is done, or
-// the batcher stops; when the admission queue is full it fails fast
-// with ErrOverloaded instead of blocking.
+// resolves the snapshot once, so every point is answered by one
+// immutable engine even while reloads land. When the points in flight
+// would pass MaxQueue it fails fast with ErrOverloaded.
 func (b *Batcher) AssignModel(ctx context.Context, model string, vecs [][]float64) ([]Assignment, string, error) {
 	if len(vecs) == 0 {
 		return nil, "", fmt.Errorf("serve: empty request")
 	}
-	req := &batchRequest{model: model, vecs: vecs, out: make(chan batchResponse, 1)}
-	b.mu.RLock()
-	if b.stopped {
-		b.mu.RUnlock()
-		return nil, "", ErrStopped
+	n := int64(len(vecs))
+	if err := b.admit(n); err != nil {
+		return nil, "", err
 	}
-	if !b.admit(req) {
-		b.mu.RUnlock()
-		if b.metrics != nil {
-			b.metrics.ObserveShed()
-		}
-		return nil, "", ErrOverloaded
+	defer b.release(n)
+	if err := ctx.Err(); err != nil {
+		return nil, "", err
 	}
-	select {
-	case b.reqs <- req:
-		b.mu.RUnlock()
-	case <-ctx.Done():
-		b.release(req)
-		b.mu.RUnlock()
-		return nil, "", ctx.Err()
-	}
-	select {
-	case resp := <-req.out:
-		return resp.assignments, resp.model, resp.err
-	case <-ctx.Done():
-		// The worker will still score the batch; the answer is dropped
-		// into the request's buffered channel and garbage collected.
-		return nil, "", ctx.Err()
-	}
-}
-
-// worker loops collecting and scoring batches until stop is closed and
-// the queue is drained.
-func (b *Batcher) worker() {
-	defer b.wg.Done()
-	for {
-		var first *batchRequest
-		select {
-		case first = <-b.reqs:
-		case <-b.stop:
-			// Drain whatever is still queued before exiting.
-			select {
-			case first = <-b.reqs:
-			default:
-				return
-			}
-		}
-		batch := []*batchRequest{first}
-		points := len(first.vecs)
-		if b.opts.MaxWait > 0 && points < b.opts.MaxBatch {
-			timer := time.NewTimer(b.opts.MaxWait)
-		fill:
-			for points < b.opts.MaxBatch {
-				select {
-				case req := <-b.reqs:
-					batch = append(batch, req)
-					points += len(req.vecs)
-				case <-timer.C:
-					break fill
-				case <-b.stop:
-					break fill
-				}
-			}
-			timer.Stop()
-		} else {
-			// Opportunistic, non-blocking fill.
-		drain:
-			for points < b.opts.MaxBatch {
-				select {
-				case req := <-b.reqs:
-					batch = append(batch, req)
-					points += len(req.vecs)
-				default:
-					break drain
-				}
-			}
-		}
-		b.score(batch)
-	}
-}
-
-// score groups the batch by requested model, stacks each group into one
-// matrix, runs that model's engine, and fans the answers back out to
-// the waiting callers. Each group resolves its registry snapshot
-// exactly once, so every request in it is answered from one immutable
-// engine even while reloads land concurrently.
-func (b *Batcher) score(batch []*batchRequest) {
-	for _, req := range batch {
-		b.release(req)
-	}
-	groups := map[string][]*batchRequest{}
-	for _, req := range batch {
-		groups[req.model] = append(groups[req.model], req)
-	}
-	models := make([]string, 0, len(groups))
-	for model := range groups {
-		models = append(models, model)
-	}
-	sort.Strings(models)
-	for _, model := range models {
-		b.scoreModel(model, groups[model])
-	}
-}
-
-// scoreModel answers one same-model group against a single snapshot.
-func (b *Batcher) scoreModel(model string, group []*batchRequest) {
 	snap := b.reg.Get(model)
 	if snap == nil {
-		err := fmt.Errorf("serve: no model loaded")
 		if model != "" {
-			err = fmt.Errorf("serve: unknown model %q", model)
+			return nil, "", fmt.Errorf("serve: unknown model %q", model)
 		}
-		for _, req := range group {
-			req.out <- batchResponse{err: err}
-		}
-		return
+		return nil, "", fmt.Errorf("serve: no model loaded")
 	}
-	n := snap.Engine.Ambient()
-	// Validate per request: one malformed request must not fail the
-	// others sharing its batch.
-	valid := group[:0:0]
-	points := 0
-	for _, req := range group {
-		ok := true
-		for _, v := range req.vecs {
-			if len(v) != n {
-				req.out <- batchResponse{err: fmt.Errorf("serve: point has %d dims, model expects %d", len(v), n)}
-				ok = false
-				break
-			}
+	ambient := snap.Engine.Ambient()
+	x := mat.NewDense(ambient, len(vecs))
+	for j, v := range vecs {
+		if len(v) != ambient {
+			return nil, "", fmt.Errorf("serve: point has %d dims, model expects %d", len(v), ambient)
 		}
-		if ok {
-			valid = append(valid, req)
-			points += len(req.vecs)
-		}
-	}
-	if points == 0 {
-		return
-	}
-	x := mat.NewDense(n, points)
-	col := 0
-	for _, req := range valid {
-		for _, v := range req.vecs {
-			x.SetCol(col, v)
-			col++
-		}
+		x.SetCol(j, v)
 	}
 	labels, residuals, err := snap.Engine.Assign(x)
 	if err != nil {
-		for _, req := range valid {
-			req.out <- batchResponse{err: err}
+		return nil, "", err
+	}
+	for j, r := range residuals {
+		// JSON has no infinity: a point whose squared norm overflows
+		// must be refused here, or its 200 would carry no body.
+		if math.IsInf(r, 1) {
+			return nil, "", fmt.Errorf("serve: point %d is too large to score", j)
 		}
-		return
 	}
-	if b.metrics != nil {
-		b.metrics.ObserveBatch(snap.Name, points)
+	b.metrics.ObserveBatch(snap.Name, len(vecs))
+	out := make([]Assignment, len(vecs))
+	for j := range out {
+		out[j] = Assignment{Label: labels[j], Residual: residuals[j]}
 	}
-	col = 0
-	for _, req := range valid {
-		out := make([]Assignment, len(req.vecs))
-		for i := range out {
-			out[i] = Assignment{Label: labels[col], Residual: residuals[col]}
-			col++
-		}
-		req.out <- batchResponse{assignments: out, model: snap.Name}
-	}
+	return out, snap.Name, nil
 }

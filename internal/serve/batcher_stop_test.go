@@ -3,70 +3,68 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestStopWaitsForDrainAcrossCallers is the regression test for the
-// concurrent-Stop race: a second Stop used to return right after
-// wg.Wait() while the first was still answering stragglers, letting its
-// caller observe a half-stopped batcher. The test builds the exact
-// interleaving: workers already gone (none started, so wg.Wait is
-// instant), a straggler in the queue whose reply buffer is full so the
-// first Stop blocks mid-drain, and a second straggler behind it.
-func TestStopWaitsForDrainAcrossCallers(t *testing.T) {
-	b := &Batcher{
-		reqs: make(chan *batchRequest, 8),
-		stop: make(chan struct{}),
-	}
-	blocker := &batchRequest{out: make(chan batchResponse, 1)}
-	blocker.out <- batchResponse{} // full buffer: the drain's send blocks
-	straggler := &batchRequest{out: make(chan batchResponse, 1)}
-	b.reqs <- blocker
-	b.reqs <- straggler
-
-	first := make(chan struct{})
-	go func() {
-		b.Stop()
-		close(first)
-	}()
-	// Let the first Stop reach the blocked drain send.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-first:
-		t.Fatal("first Stop returned with a straggler still queued")
-	default:
+// TestStopWaitsForInFlightRequests pins the gate's lifecycle: NewBatcher
+// starts no goroutine, every Stop caller (not only the first) waits
+// until each admitted request has been answered, and an assign after
+// Stop gets ErrStopped. A request in flight is held open by admitting
+// its points directly, the way AssignModel does before it scores.
+func TestStopWaitsForInFlightRequests(t *testing.T) {
+	reg, devices, _ := newTestRegistry(t, 31)
+	base := runtime.NumGoroutine()
+	b := NewBatcher(reg, NewMetrics(), BatcherOptions{})
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("NewBatcher started %d goroutines", n-base)
 	}
 
-	second := make(chan struct{})
-	go func() {
-		b.Stop()
-		close(second)
-	}()
+	if err := b.admit(3); err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	stopped := make(chan struct{}, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			b.Stop()
+			stopped <- struct{}{}
+		}()
+	}
+	// Stop must refuse new requests even while it waits.
+	vec := devices[0].Col(0, nil)
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		_, _, err := b.AssignModel(context.Background(), "", [][]float64{vec})
+		if errors.Is(err, ErrStopped) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Assign while stopping: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Stop did not refuse new requests")
+		}
+		runtime.Gosched()
+	}
 	select {
-	case <-second:
-		t.Fatal("second Stop returned while the first was still draining stragglers")
+	case <-stopped:
+		t.Fatal("Stop returned with a request still in flight")
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	// Unblock the drain; now both Stops must finish and the straggler
-	// must have been answered.
-	<-blocker.out
-	for name, ch := range map[string]chan struct{}{"first": first, "second": second} {
+	b.release(3)
+	for i := 0; i < 2; i++ {
 		select {
-		case <-ch:
-		case <-time.After(time.Second):
-			t.Fatalf("%s Stop did not return after the drain unblocked", name)
+		case <-stopped:
+		case <-time.After(3 * time.Second):
+			t.Fatal("Stop did not return after the last request was answered")
 		}
 	}
-	select {
-	case resp := <-straggler.out:
-		if !errors.Is(resp.err, ErrStopped) {
-			t.Fatalf("straggler answered with %v, want ErrStopped", resp.err)
-		}
-	default:
-		t.Fatal("straggler left unanswered after Stop returned")
+	b.Stop() // idempotent
+	if _, _, err := b.AssignModel(context.Background(), "", [][]float64{vec}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Assign after Stop returned %v, want ErrStopped", err)
 	}
 }
 
@@ -76,14 +74,14 @@ func TestStopWaitsForDrainAcrossCallers(t *testing.T) {
 // refused.
 func TestStopConcurrentWithAssigns(t *testing.T) {
 	reg, devices, _ := newTestRegistry(t, 77)
-	b := NewBatcher(reg, NewMetrics(), BatcherOptions{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 2})
+	b := NewBatcher(reg, NewMetrics(), BatcherOptions{})
 	vec := devices[0].Col(0, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := b.Assign(context.Background(), [][]float64{vec})
+			_, _, err := b.AssignModel(context.Background(), "", [][]float64{vec})
 			if err != nil && !errors.Is(err, ErrStopped) {
 				t.Errorf("Assign: %v", err)
 			}
@@ -97,7 +95,7 @@ func TestStopConcurrentWithAssigns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, _, err := b.Assign(context.Background(), [][]float64{vec}); !errors.Is(err, ErrStopped) {
+	if _, _, err := b.AssignModel(context.Background(), "", [][]float64{vec}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Assign after Stop returned %v, want ErrStopped", err)
 	}
 }

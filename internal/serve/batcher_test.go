@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"fedsc/internal/mat"
 )
@@ -23,14 +22,14 @@ func newTestRegistry(t testing.TB, seed int64) (*Registry, []*mat.Dense, [][]int
 func TestBatcherAssignMatchesEngine(t *testing.T) {
 	reg, devices, labels := newTestRegistry(t, 61)
 	metrics := NewMetrics()
-	b := NewBatcher(reg, metrics, BatcherOptions{MaxBatch: 8, MaxWait: time.Millisecond})
+	b := NewBatcher(reg, metrics, BatcherOptions{})
 	defer b.Stop()
 	x := devices[0]
 	vecs := make([][]float64, x.Cols())
 	for j := range vecs {
 		vecs[j] = x.Col(j, nil)
 	}
-	got, model, err := b.Assign(context.Background(), vecs)
+	got, model, err := b.AssignModel(context.Background(), "", vecs)
 	if err != nil {
 		t.Fatalf("assign: %v", err)
 	}
@@ -47,47 +46,20 @@ func TestBatcherAssignMatchesEngine(t *testing.T) {
 	}
 }
 
-func TestBatcherCoalesces(t *testing.T) {
-	reg, devices, _ := newTestRegistry(t, 62)
-	metrics := NewMetrics()
-	// A generous window so concurrent singles land in one batch.
-	b := NewBatcher(reg, metrics, BatcherOptions{MaxBatch: 64, MaxWait: 50 * time.Millisecond, Workers: 1})
-	defer b.Stop()
-	x := devices[0]
-	const k = 16
-	var wg sync.WaitGroup
-	for j := 0; j < k; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			if _, _, err := b.Assign(context.Background(), [][]float64{x.Col(j, nil)}); err != nil {
-				t.Errorf("assign %d: %v", j, err)
-			}
-		}(j)
-	}
-	wg.Wait()
-	if metrics.Assigned() != k {
-		t.Fatalf("assigned %d, want %d", metrics.Assigned(), k)
-	}
-	if batches := metrics.Batches(); batches >= k {
-		t.Fatalf("no coalescing: %d batches for %d points", batches, k)
-	}
-}
-
 func TestBatcherRejectsMismatchedDimsIndividually(t *testing.T) {
 	reg, devices, _ := newTestRegistry(t, 63)
-	b := NewBatcher(reg, NewMetrics(), BatcherOptions{MaxBatch: 8, MaxWait: 20 * time.Millisecond, Workers: 1})
+	b := NewBatcher(reg, NewMetrics(), BatcherOptions{})
 	defer b.Stop()
 	var wg sync.WaitGroup
 	var goodErr, badErr error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, _, goodErr = b.Assign(context.Background(), [][]float64{devices[0].Col(0, nil)})
+		_, _, goodErr = b.AssignModel(context.Background(), "", [][]float64{devices[0].Col(0, nil)})
 	}()
 	go func() {
 		defer wg.Done()
-		_, _, badErr = b.Assign(context.Background(), [][]float64{make([]float64, 3)})
+		_, _, badErr = b.AssignModel(context.Background(), "", [][]float64{make([]float64, 3)})
 	}()
 	wg.Wait()
 	if goodErr != nil {
@@ -102,15 +74,15 @@ func TestBatcherEmptyRequest(t *testing.T) {
 	reg, _, _ := newTestRegistry(t, 64)
 	b := NewBatcher(reg, NewMetrics(), BatcherOptions{})
 	defer b.Stop()
-	if _, _, err := b.Assign(context.Background(), nil); err == nil {
+	if _, _, err := b.AssignModel(context.Background(), "", nil); err == nil {
 		t.Fatal("empty request accepted")
 	}
 }
 
 func TestBatcherNoModel(t *testing.T) {
-	b := NewBatcher(NewRegistry(), NewMetrics(), BatcherOptions{MaxWait: -1})
+	b := NewBatcher(NewRegistry(), NewMetrics(), BatcherOptions{})
 	defer b.Stop()
-	if _, _, err := b.Assign(context.Background(), [][]float64{{1, 2}}); err == nil {
+	if _, _, err := b.AssignModel(context.Background(), "", [][]float64{{1, 2}}); err == nil {
 		t.Fatal("assign with no model loaded succeeded")
 	}
 }
@@ -120,7 +92,7 @@ func TestBatcherStop(t *testing.T) {
 	b := NewBatcher(reg, NewMetrics(), BatcherOptions{})
 	b.Stop()
 	b.Stop() // idempotent
-	_, _, err := b.Assign(context.Background(), [][]float64{devices[0].Col(0, nil)})
+	_, _, err := b.AssignModel(context.Background(), "", [][]float64{devices[0].Col(0, nil)})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("assign after stop: %v, want ErrStopped", err)
 	}
@@ -132,38 +104,49 @@ func TestBatcherContextCancel(t *testing.T) {
 	defer b.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := b.Assign(ctx, [][]float64{devices[0].Col(0, nil)})
+	_, _, err := b.AssignModel(ctx, "", [][]float64{devices[0].Col(0, nil)})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled assign: %v", err)
 	}
 }
 
 // TestRetryAfterSeconds pins the derived Retry-After arithmetic: the
-// hint is ceil(batches/Workers)·MaxWait rounded up to whole seconds
-// and clamped to [1, 60], never the old hardcoded "1".
+// hint is the points in flight divided by the measured throughput
+// (points assigned per second of request time), rounded up to whole
+// seconds and clamped to [1, 60], never the old hardcoded "1".
 func TestRetryAfterSeconds(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		queued int64
-		opts   BatcherOptions
-		want   int
+		name               string
+		inFlight, assigned int64
+		busy               float64
+		want               int
 	}{
-		{"ten batches one worker", 10, BatcherOptions{MaxBatch: 1, MaxWait: 500 * time.Millisecond, Workers: 1}, 5},
-		{"workers divide the backlog", 10, BatcherOptions{MaxBatch: 1, MaxWait: 500 * time.Millisecond, Workers: 5}, 1},
-		{"partial batch rounds up", 5, BatcherOptions{MaxBatch: 4, MaxWait: time.Second, Workers: 1}, 2},
-		{"empty queue floors at one second", 0, BatcherOptions{MaxBatch: 64, MaxWait: time.Second, Workers: 4}, 1},
-		{"sub-second backlog floors at one second", 3, BatcherOptions{MaxBatch: 64, MaxWait: 200 * time.Microsecond, Workers: 4}, 1},
-		{"pathological queue clamps at a minute", 1 << 20, BatcherOptions{MaxBatch: 1, MaxWait: time.Second, Workers: 1}, 60},
+		{"backlog at the measured rate", 50, 100, 10, 5},
+		{"partial second rounds up", 21, 100, 10, 3},
+		{"empty backlog floors at one second", 0, 100, 10, 1},
+		{"no measurement yet floors at one second", 50, 0, 0, 1},
+		{"sub-second backlog floors at one second", 8, 4000, 1, 1},
+		{"pathological backlog clamps at a minute", 1 << 20, 100, 10, 60},
 	} {
-		if got := retryAfterSeconds(tc.queued, tc.opts.withDefaults()); got != tc.want {
-			t.Fatalf("%s: retryAfterSeconds(%d) = %d, want %d", tc.name, tc.queued, got, tc.want)
+		if got := retryAfterSeconds(tc.inFlight, tc.assigned, tc.busy); got != tc.want {
+			t.Fatalf("%s: retryAfterSeconds(%d, %d, %g) = %d, want %d",
+				tc.name, tc.inFlight, tc.assigned, tc.busy, got, tc.want)
 		}
 	}
-	// The batcher method agrees with the helper on a live (idle) pool.
+	// The batcher method reads the live gate and its metrics: nothing in
+	// flight floors at one second, and so do admitted points before any
+	// throughput has been measured.
 	reg, _, _ := newTestRegistry(t, 67)
-	b := NewBatcher(reg, NewMetrics(), BatcherOptions{MaxBatch: 2, MaxWait: time.Second, Workers: 1})
+	b := NewBatcher(reg, NewMetrics(), BatcherOptions{})
 	defer b.Stop()
 	if got := b.RetryAfter(); got != 1 {
 		t.Fatalf("idle batcher RetryAfter = %d, want 1", got)
+	}
+	if err := b.admit(64); err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	defer b.release(64)
+	if got := b.RetryAfter(); got != 1 {
+		t.Fatalf("unmeasured batcher RetryAfter = %d, want 1", got)
 	}
 }

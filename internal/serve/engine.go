@@ -2,9 +2,10 @@
 // long-running inference service: it loads the model artifact a round
 // produced (per-global-cluster subspace bases, package core), answers
 // "which cluster does this new point belong to?" by minimum projection
-// residual, coalesces concurrent requests into blocked batches, supports
-// atomic hot swap of the model, and exposes an HTTP JSON API with
-// Prometheus-style metrics.
+// residual, scoring each request's points as one blocked matrix on the
+// request's own goroutine, bounds the points in flight (admission
+// control), supports atomic hot swap of the model, and exposes an HTTP
+// JSON API with Prometheus-style metrics.
 package serve
 
 import (

@@ -44,21 +44,22 @@ type errorResponse struct {
 //	GET  /healthz     readiness (200 once a model is loaded)
 //	GET  /metrics     Prometheus text metrics
 //
-// Admission control: when the batcher's bounded queue is full, assign
-// answers 429 immediately — saturation sheds load instead of growing
-// latency without bound. A body too large to ever be admitted is
-// refused with 413 before it is decoded (see maxAssignBody).
+// Admission control: when a request's points would push the points in
+// flight past MaxQueue, assign answers 429 immediately — saturation
+// sheds load instead of growing latency without bound. A body too large
+// to ever be admitted is refused with 413 before it is decoded (see
+// maxAssignBody).
 type Handler struct {
 	reg     *Registry
-	batcher *Batcher
+	gate    *Batcher
 	metrics *Metrics
 	mux     *http.ServeMux
 }
 
-// NewHandler wires the API around a registry and its batcher. metrics
-// may be shared with the batcher (it usually is).
-func NewHandler(reg *Registry, batcher *Batcher, metrics *Metrics) *Handler {
-	h := &Handler{reg: reg, batcher: batcher, metrics: metrics, mux: http.NewServeMux()}
+// NewHandler wires the API around a registry and its admission gate.
+// metrics may be shared with the gate (it usually is).
+func NewHandler(reg *Registry, gate *Batcher, metrics *Metrics) *Handler {
+	h := &Handler{reg: reg, gate: gate, metrics: metrics, mux: http.NewServeMux()}
 	h.mux.HandleFunc("/v1/assign", h.assign)
 	h.mux.HandleFunc("/v1/models", h.models)
 	h.mux.HandleFunc("/v1/reload", h.reload)
@@ -78,12 +79,12 @@ const (
 )
 
 // maxAssignBody bounds an /v1/assign body by what could ever be
-// admitted: at most the batcher's MaxQueue points, each no wider than
-// the widest served model (plus one float's worth for its brackets).
-// A larger body is refused with 413 before the decoder allocates it.
+// admitted: at most MaxQueue points, each no wider than the widest
+// served model (plus one float's worth for its brackets). A larger
+// body is refused with 413 before the decoder allocates it.
 func (h *Handler) maxAssignBody() int64 {
 	perPoint := int64(h.reg.maxAmbient()+1) * bytesPerFloat
-	return int64(h.batcher.opts.MaxQueue)*perPoint + bodyFraming
+	return int64(h.gate.opts.MaxQueue)*perPoint + bodyFraming
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -127,13 +128,13 @@ func (h *Handler) assign(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty request"})
 		return
 	}
-	assignments, model, err := h.batcher.AssignModel(r.Context(), req.Model, vecs)
+	assignments, model, err := h.gate.AssignModel(r.Context(), req.Model, vecs)
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
 		case errors.Is(err, ErrOverloaded):
 			status = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", strconv.Itoa(h.batcher.RetryAfter()))
+			w.Header().Set("Retry-After", strconv.Itoa(h.gate.RetryAfter()))
 		case errors.Is(err, ErrStopped):
 			status = http.StatusServiceUnavailable
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -190,7 +191,7 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	if !requireGET(w, r) {
 		return
 	}
-	if h.reg.Current() == nil {
+	if h.reg.Get("") == nil {
 		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
 		return
 	}
@@ -213,7 +214,7 @@ const readHeaderTimeout = 10 * time.Second
 
 // Serve runs the HTTP server on ln until ctx is cancelled, then shuts it
 // down gracefully (in-flight requests get up to grace to finish; zero
-// means 5s) and stops the batcher. It returns nil on a clean shutdown.
+// means 5s) and stops the gate. It returns nil on a clean shutdown.
 func Serve(ctx context.Context, ln net.Listener, h *Handler, grace time.Duration) error {
 	if grace <= 0 {
 		grace = 5 * time.Second
@@ -223,14 +224,14 @@ func Serve(ctx context.Context, ln net.Listener, h *Handler, grace time.Duration
 	go func() { errCh <- srv.Serve(ln) }()
 	select {
 	case err := <-errCh:
-		h.batcher.Stop()
+		h.gate.Stop()
 		return err
 	case <-ctx.Done():
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	err := srv.Shutdown(shutCtx)
-	h.batcher.Stop()
+	h.gate.Stop()
 	if errors.Is(err, context.DeadlineExceeded) {
 		// Hard stop after the grace period; the Shutdown error already
 		// reports the timeout the caller sees.

@@ -22,7 +22,7 @@ import (
 func startServer(t *testing.T, reg *Registry) (string, func()) {
 	t.Helper()
 	metrics := NewMetrics()
-	b := NewBatcher(reg, metrics, BatcherOptions{MaxBatch: 32, MaxWait: 200 * time.Microsecond})
+	b := NewBatcher(reg, metrics, BatcherOptions{})
 	return startListener(t, NewHandler(reg, b, metrics))
 }
 
@@ -402,7 +402,7 @@ func TestAssignOversizedBodyIs413(t *testing.T) {
 	if _, err := st.PutTagged("alpha", axisModel(t, []int{0, 1})); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	_, metrics, base, stop := startStoreServer(t, st, BatcherOptions{MaxBatch: 4, MaxQueue: 8, MaxWait: -1})
+	_, metrics, base, stop := startStoreServer(t, st, BatcherOptions{MaxQueue: 8})
 	defer stop()
 
 	// About 40 KB of well-formed JSON against a limit of

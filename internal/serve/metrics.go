@@ -12,7 +12,7 @@ import (
 // is a thin facade over an obs.Registry: the instruments live in the
 // registry (so a shared registry exposes the serving metrics next to
 // the fednet/core/chaos ones on one /metrics endpoint), while this type
-// keeps the API the handler, batcher, and tests were built against.
+// keeps the API the handler, admission gate, and tests were built against.
 // All updates are lock-free atomics on the hot path.
 type Metrics struct {
 	reg         *obs.Registry
@@ -28,7 +28,7 @@ type Metrics struct {
 }
 
 // NewMetrics returns a metrics sink over a private registry with
-// latency buckets spanning 10µs to 10s and batch-size buckets spanning
+// latency buckets spanning 10µs to 10s and request-size buckets spanning
 // 1 to 4096 points.
 func NewMetrics() *Metrics { return NewMetricsOn(obs.NewRegistry()) }
 
@@ -42,18 +42,15 @@ func NewMetricsOn(reg *obs.Registry) *Metrics {
 		errors:     reg.Counter("fedsc_serve_request_errors_total", "Assignment requests answered with an error."),
 		shed:       reg.Counter("fedsc_serve_shed_total", "Assignment requests shed with 429 by admission control."),
 		inFlight:   reg.Gauge("fedsc_serve_in_flight", "Requests currently being served."),
-		queueDepth: reg.Gauge("fedsc_serve_queue_depth", "Points admitted and awaiting scoring."),
+		queueDepth: reg.Gauge("fedsc_serve_queue_depth", "Points admitted and not yet answered."),
 		latency: reg.Histogram("fedsc_serve_latency_seconds", "Request latency in seconds.",
 			[]float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}),
-		batchSize: reg.Histogram("fedsc_serve_batch_points", "Points per scored batch.",
+		batchSize: reg.Histogram("fedsc_serve_batch_points", "Points per scored request.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096}),
 		assignments: reg.CounterVec("fedsc_serve_assignments_total", "Points assigned, by model.", "model"),
-		batches:     reg.CounterVec("fedsc_serve_model_batches_total", "Scored batches, by model.", "model"),
+		batches:     reg.CounterVec("fedsc_serve_model_batches_total", "Scored requests, by model.", "model"),
 	}
 }
-
-// Registry returns the registry the serving metrics are registered on.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // RequestStart marks a request accepted and returns a done func that
 // records its latency and error status.
@@ -70,42 +67,33 @@ func (m *Metrics) RequestStart() func(err bool) {
 	}
 }
 
-// ObserveBatch records one scored batch of b points under model name.
+// ObserveBatch records one scored request of b points under model name.
 func (m *Metrics) ObserveBatch(name string, b int) {
 	m.batchSize.Observe(float64(b))
 	m.assignments.With(name).Add(int64(b))
 	m.batches.With(name).Inc()
 }
 
-// ObserveShed marks one request rejected by admission control (the
-// bounded queue was full; the client saw 429).
+// ObserveShed marks one request rejected by admission control (its
+// points would have passed MaxQueue; the client saw 429).
 func (m *Metrics) ObserveShed() { m.shed.Inc() }
 
-// QueueAdd moves the admission-queue depth gauge by n points.
+// QueueAdd moves the points-in-flight gauge by n points.
 func (m *Metrics) QueueAdd(n int64) { m.queueDepth.Add(n) }
 
 // Requests returns the number of accepted requests.
 func (m *Metrics) Requests() int64 { return m.requests.Value() }
 
-// Errors returns the number of requests answered with an error.
-func (m *Metrics) Errors() int64 { return m.errors.Value() }
-
-// InFlight returns the number of requests currently being served.
-func (m *Metrics) InFlight() int64 { return m.inFlight.Value() }
-
 // Shed returns the number of requests rejected by admission control.
 func (m *Metrics) Shed() int64 { return m.shed.Value() }
 
-// QueueDepth returns the points currently admitted and awaiting scoring.
+// QueueDepth returns the points currently admitted and not yet answered.
 func (m *Metrics) QueueDepth() int64 { return m.queueDepth.Value() }
-
-// AssignedTo returns the points assigned by one named model.
-func (m *Metrics) AssignedTo(name string) int64 { return m.assignments.With(name).Value() }
 
 // Assigned returns the total points assigned across all models.
 func (m *Metrics) Assigned() int64 { return m.assignments.Total() }
 
-// Batches returns the number of scored batches.
+// Batches returns the number of scored requests.
 func (m *Metrics) Batches() int64 { return m.batchSize.Count() }
 
 // WritePrometheus renders every metric on the sink's registry in the

@@ -13,7 +13,7 @@ import (
 
 // Snapshot is one loaded model plus its precomputed engine. Snapshots
 // are immutable; the registry swaps whole model sets atomically, so a
-// batch in flight keeps scoring against the snapshot it started with
+// request in flight keeps scoring against the snapshot it started with
 // even while a reload lands.
 type Snapshot struct {
 	// Name identifies the model: a manifest entry or a caller-supplied
@@ -68,8 +68,8 @@ type modelSet struct {
 var emptySet = &modelSet{byName: map[string]*Snapshot{}}
 
 // Registry holds the served models and the history of loads. Readers
-// (the batcher workers) take the current model set with a single atomic
-// pointer load per batch; writers (SetModel, Reload) build new
+// (the request handlers) take the current model set with a single
+// atomic pointer load per request; writers (SetModel, Reload) build new
 // engines off to the side and swap the whole set atomically — a hot
 // deploy never blocks serving.
 type Registry struct {
@@ -87,13 +87,6 @@ func NewRegistry() *Registry {
 	r := &Registry{}
 	r.set.Store(emptySet)
 	return r
-}
-
-// Current returns the default model's snapshot, or nil before the
-// first load.
-func (r *Registry) Current() *Snapshot {
-	set := r.set.Load()
-	return set.byName[set.def]
 }
 
 // Get resolves a model name to its snapshot; the empty name routes to
@@ -202,25 +195,6 @@ func (r *Registry) SetModel(name string, m *core.Model) error {
 	return nil
 }
 
-// Remove drops a model from the served set. Removing the default
-// reroutes the default to the smallest remaining name.
-func (r *Registry) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.swapLocked(func(set *modelSet) { delete(set.byName, name) })
-}
-
-// SetDefault reroutes the empty model name to an already-served model.
-func (r *Registry) SetDefault(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.set.Load().byName[name] == nil {
-		return fmt.Errorf("serve: set default: model %q not loaded", name)
-	}
-	r.swapLocked(func(set *modelSet) { set.def = name })
-	return nil
-}
-
 // checksumHex is the short artifact digest shown in /v1/models.
 func checksumHex(m *core.Model) string {
 	return fmt.Sprintf("%x", m.Checksum[:8])
@@ -241,8 +215,8 @@ func (r *Registry) UseStore(st *store.Store) ([]string, error) {
 // Reload re-reads the bound store's manifest and reconciles the
 // served set against it, returning the names that changed (loaded,
 // replaced, or removed) in sorted order. Engines are built before the
-// swap, so readers always resolve against a complete set; a batch in
-// flight finishes on the snapshot it resolved.
+// swap, so readers always resolve against a complete set; a request
+// in flight finishes on the snapshot it resolved.
 func (r *Registry) Reload() ([]string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

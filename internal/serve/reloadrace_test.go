@@ -44,7 +44,7 @@ func TestReloadRacingAssignScoresOneSnapshot(t *testing.T) {
 	if _, err := st.PutTagged("m", a); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	_, _, base, stop := startStoreServer(t, st, BatcherOptions{MaxBatch: 32})
+	_, _, base, stop := startStoreServer(t, st, BatcherOptions{})
 	defer stop()
 
 	// Probe batch: alternating axis points. Under artifact a the labels
@@ -151,7 +151,7 @@ func TestHTTPModelRoutingAndAdmission(t *testing.T) {
 	if _, err := st.PutTagged("beta", axisModel(t, []int{1, 0})); err != nil {
 		t.Fatalf("put beta: %v", err)
 	}
-	_, metrics, base, stop := startStoreServer(t, st, BatcherOptions{MaxBatch: 4, MaxQueue: 8, MaxWait: -1})
+	_, metrics, base, stop := startStoreServer(t, st, BatcherOptions{MaxQueue: 8})
 	defer stop()
 
 	for _, tc := range []struct {

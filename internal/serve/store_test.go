@@ -66,12 +66,12 @@ func TestRegistryUseStoreRoutesAllManifestEntries(t *testing.T) {
 	if got := reg.Names(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
 		t.Fatalf("names %v", got)
 	}
-	if cur := reg.Current(); cur == nil || cur.Name != "alpha" {
+	if cur := reg.Get(""); cur == nil || cur.Name != "alpha" {
 		t.Fatalf("default route %+v, want alpha (first tag)", cur)
 	}
 
 	// Routed assignment: the same point gets opposite labels per model.
-	batcher := NewBatcher(reg, NewMetrics(), BatcherOptions{MaxWait: -1})
+	batcher := NewBatcher(reg, NewMetrics(), BatcherOptions{})
 	defer batcher.Stop()
 	for _, tc := range []struct {
 		model string
@@ -104,7 +104,7 @@ func TestRegistryUseStoreRoutesAllManifestEntries(t *testing.T) {
 	if len(changed) != 1 || changed[0] != "alpha" {
 		t.Fatalf("sync changed %v, want [alpha]", changed)
 	}
-	if cur := reg.Current(); cur == nil || cur.Name != "beta" {
+	if cur := reg.Get(""); cur == nil || cur.Name != "beta" {
 		t.Fatalf("default after sync %+v, want beta", cur)
 	}
 	got, _, err := batcher.AssignModel(context.Background(), "alpha", [][]float64{axisPoint(0)})
@@ -169,7 +169,7 @@ func TestBatcherAdmissionControl(t *testing.T) {
 		t.Fatalf("use store: %v", err)
 	}
 	metrics := NewMetrics()
-	b := NewBatcher(reg, metrics, BatcherOptions{MaxBatch: 2, MaxQueue: 4, MaxWait: -1})
+	b := NewBatcher(reg, metrics, BatcherOptions{MaxQueue: 4})
 	defer b.Stop()
 
 	oversized := make([][]float64, 5)
