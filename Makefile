@@ -36,13 +36,17 @@ race:
 # each: /v1/assign bodies must get 200, 400, 413 or 429, with every 200
 # matching the offline engine (FuzzAssign in internal/serve), and a
 # model artifact that decodes must validate and re-encode to the same
-# checksum (FuzzDecodeModel in internal/core).
+# checksum (FuzzDecodeModel in internal/core). Last, the quantized
+# upload's unpacker for 10 s: no stream, count or quantizer may panic
+# it, and every stream it accepts must repack to the same bytes
+# (FuzzUnpack in internal/privacy).
 fuzz:
 	$(GO) test ./internal/lasso -run '^$$' -fuzz '^FuzzGram$$' -fuzztime 10s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzNewCSR$$' -fuzztime 10s
 	$(GO) test ./internal/mat -run '^$$' -fuzz '^FuzzSymEigenSmallest$$' -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAssign$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 10s
+	$(GO) test ./internal/privacy -run '^$$' -fuzz '^FuzzUnpack$$' -fuzztime 10s
 
 # Project-specific static analysis: the determinism, error-handling,
 # and connection-deadline contracts plus the concurrency-lifecycle pack

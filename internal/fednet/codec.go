@@ -101,6 +101,10 @@ func (u SampleUpload) validateWire() error {
 		if math.IsNaN(u.Quant.Max) || math.IsInf(u.Quant.Max, 0) {
 			return fmt.Errorf("fednet: non-finite quantizer range %g", u.Quant.Max)
 		}
+		// Rows×Cols fits an int (Validate), but times Bits it may not.
+		if n := u.Rows * u.Cols; n > q.MaxCount() {
+			return fmt.Errorf("fednet: %dx%d values at %d bits overflow the packed length", u.Rows, u.Cols, u.Quant.Bits)
+		}
 		if want := q.PackedLen(u.Rows * u.Cols); len(u.Quant.Packed) != want {
 			return fmt.Errorf("fednet: quantized payload %d bytes for %dx%d values at %d bits, want %d",
 				len(u.Quant.Packed), u.Rows, u.Cols, u.Quant.Bits, want)

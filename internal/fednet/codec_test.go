@@ -171,6 +171,23 @@ func TestUploadValidateQuantCodec(t *testing.T) {
 	}
 }
 
+// TestUploadRefusesOverflowingPackedLength: Rows·Cols = 2^61 values at
+// 8 bits is 2^64 bits, which wraps PackedLen to 0. Such an upload with an
+// empty payload used to pass Validate, and Samples then panicked
+// allocating 2^61 values in the collector, which has no recover.
+func TestUploadRefusesOverflowingPackedLength(t *testing.T) {
+	rows := 1 << 30
+	cols := (math.MaxInt>>2 + 1) / rows
+	u := SampleUpload{Rows: rows, Cols: cols, Codec: CodecQuant,
+		Quant: &QuantPayload{Bits: 8, Packed: []byte{}}}
+	if err := u.Validate(); err == nil {
+		t.Fatal("upload whose packed length overflows accepted")
+	}
+	if _, err := u.Samples(); err == nil {
+		t.Fatal("Samples decoded an upload whose packed length overflows")
+	}
+}
+
 // TestServerRejectsUnadvertisedCodec: a float64-only server must
 // reject a quantized upload (codec police), while a wire-configured
 // client talking to it silently falls back to passthrough.

@@ -190,9 +190,12 @@ func (c *Controller) Model() *core.Model {
 
 // publishLocked stores m as the next version: the alias tag moves to
 // it (first publish also makes the alias the manifest default) and an
-// immutable versioned tag pins it forever.
+// immutable versioned tag pins it forever. A versioned tag that already
+// names another digest (another controller published that version to
+// this store) is refused before either tag moves. The check lives here
+// rather than in store.Tag, which moves any name it is given.
 func (c *Controller) publishLocked(m *core.Model) (Version, error) {
-	digest, err := c.cfg.Store.PutTagged(alias, m)
+	digest, err := c.cfg.Store.Put(m)
 	if err != nil {
 		return Version{}, fmt.Errorf("fleet: publish: %w", err)
 	}
@@ -201,6 +204,12 @@ func (c *Controller) publishLocked(m *core.Model) (Version, error) {
 		Tag:      fmt.Sprintf("%s@v%d", alias, c.next),
 		Digest:   digest,
 		Clusters: m.L,
+	}
+	if old, ok := c.cfg.Store.Resolve(v.Tag); ok && old != digest {
+		return Version{}, fmt.Errorf("fleet: publish: versioned tag %q already names %s", v.Tag, old)
+	}
+	if err := c.cfg.Store.Tag(alias, digest); err != nil {
+		return Version{}, fmt.Errorf("fleet: publish: %w", err)
 	}
 	if err := c.cfg.Store.Tag(v.Tag, digest); err != nil {
 		return Version{}, fmt.Errorf("fleet: publish: %w", err)

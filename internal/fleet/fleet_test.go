@@ -300,6 +300,47 @@ func TestControllerLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestVersionedTagsStayImmutable: a second controller over the same
+// store also starts at version 1, so its initial publish would move
+// fleet@v1 to another digest. It must fail instead, leaving the
+// versioned tag and the alias on the first controller's digest.
+func TestVersionedTagsStayImmutable(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	open := func(seed int64) *Controller {
+		c, err := New(Config{
+			L:     3,
+			Local: core.LocalOptions{UseEigengap: true, SamplesPerCluster: 3},
+			Seed:  seed,
+			Store: st,
+			Obs:   obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatalf("new controller: %v", err)
+		}
+		return c
+	}
+	w := newChurnWorld(3)
+	_, v1, err := open(5).Initial(w.wave([]int{0, 1}, []int{1, 2}, []int{0, 2}))
+	if err != nil {
+		t.Fatalf("first initial: %v", err)
+	}
+	second := open(6)
+	if _, _, err := second.Initial(w.wave([]int{0, 2}, []int{1, 2}, []int{0, 1})); err == nil {
+		t.Fatalf("second controller re-tagged %s", v1.Tag)
+	}
+	if got := second.Current(); got.Version != 0 {
+		t.Fatalf("refused publish still recorded version %+v", got)
+	}
+	for _, name := range []string{v1.Tag, alias} {
+		if d, ok := st.Resolve(name); !ok || d != v1.Digest {
+			t.Fatalf("manifest %s = %q, want the first digest %q", name, d, v1.Digest)
+		}
+	}
+}
+
 // TestJoinIsDeterministic replays a full churn scenario under the same
 // seed and demands identical versions, digests, and labels.
 func TestJoinIsDeterministic(t *testing.T) {

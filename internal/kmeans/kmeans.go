@@ -57,21 +57,34 @@ func Run(points *mat.Dense, k int, rng *rand.Rand, opts Options) Result {
 	if k > n {
 		k = n
 	}
+	// The restarts share their scratch, and each one writes its labels
+	// and centroids over the buffers of the last restart that lost.
+	d := points.Cols()
+	counts, dist := make([]int, k), make([]float64, n)
 	best := Result{Inertia: math.Inf(1)}
+	var spare Result
 	for r := 0; r < opts.Restarts; r++ {
-		res := runOnce(points, k, rng, opts)
+		if spare.Labels == nil {
+			spare = Result{Labels: make([]int, n), Centroids: mat.NewDense(k, d)}
+		}
+		res := runOnce(points, k, rng, opts, spare, counts, dist)
 		if res.Inertia < best.Inertia {
-			best = res
+			best, spare = res, best
+		} else {
+			spare = res
 		}
 	}
 	return best
 }
 
-func runOnce(points *mat.Dense, k int, rng *rand.Rand, opts Options) Result {
+// runOnce is one seeded restart, writing into out's Labels (n entries)
+// and Centroids (k×d), with counts (k) and dist (n) as scratch. Every
+// entry is written before it is read.
+func runOnce(points *mat.Dense, k int, rng *rand.Rand, opts Options, out Result, counts []int, dist []float64) Result {
 	n, d := points.Dims()
-	centroids := seedPlusPlus(points, k, rng)
-	labels := make([]int, n)
-	counts := make([]int, k)
+	centroids := out.Centroids
+	seedPlusPlus(points, centroids, rng, dist)
+	labels := out.Labels
 	prev := math.Inf(1)
 	inertia := 0.0
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -128,13 +141,13 @@ func runOnce(points *mat.Dense, k int, rng *rand.Rand, opts Options) Result {
 	return Result{Labels: labels, Centroids: centroids, Inertia: inertia}
 }
 
-// seedPlusPlus picks k initial centroids with the k-means++ D² weighting.
-func seedPlusPlus(points *mat.Dense, k int, rng *rand.Rand) *mat.Dense {
-	n, d := points.Dims()
-	centroids := mat.NewDense(k, d)
+// seedPlusPlus picks the rows of centroids with the k-means++ D²
+// weighting, with dist (one entry per point) as scratch.
+func seedPlusPlus(points, centroids *mat.Dense, rng *rand.Rand, dist []float64) {
+	n, _ := points.Dims()
+	k, _ := centroids.Dims()
 	first := rng.Intn(n)
 	copy(centroids.Row(0), points.Row(first))
-	dist := make([]float64, n)
 	for i := 0; i < n; i++ {
 		dist[i] = sqDist(points.Row(i), centroids.Row(0))
 	}
@@ -165,10 +178,10 @@ func seedPlusPlus(points *mat.Dense, k int, rng *rand.Rand) *mat.Dense {
 			}
 		}
 	}
-	return centroids
 }
 
 func sqDist(a, b []float64) float64 {
+	b = b[:len(a)]
 	s := 0.0
 	for i, v := range a {
 		d := v - b[i]

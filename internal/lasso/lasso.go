@@ -64,11 +64,20 @@ func SoftThreshold(v, t float64) float64 {
 // aside for the rest of the solve with coefficient 0, and a cap of 8n
 // path steps returns the current iterate.
 func Gram(g *mat.Dense, b []float64, lambda1, lambda2 float64, banned []int) []float64 {
+	return GramInto(make([]float64, len(b)), g, b, lambda1, lambda2, banned)
+}
+
+// GramInto is Gram with the coefficients written to dst, which must hold
+// one entry per atom and is overwritten; it returns dst. A caller that
+// solves one problem per point can so keep every solution in rows of one
+// block.
+func GramInto(dst []float64, g *mat.Dense, b []float64, lambda1, lambda2 float64, banned []int) []float64 {
 	n := len(b)
-	if g.Rows() != n || g.Cols() != n {
+	if g.Rows() != n || g.Cols() != n || len(dst) != n {
 		panic("lasso: Gram dimension mismatch")
 	}
-	c := make([]float64, n)
+	c := dst
+	clear(c)
 	lam := MaxCorrelation(b, banned)
 	if lam <= lambda1 {
 		return c

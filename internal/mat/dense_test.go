@@ -183,6 +183,31 @@ func TestGramSymmetric(t *testing.T) {
 	}
 }
 
+// TestGramMatchesMulTABits: Gram computes the lower triangle and
+// mirrors it, which for finite input is MulTA(a, a) to the bit, exact
+// zeros (skipped on one side only) and underflowing products included,
+// on the serial path and on the one that fans out.
+func TestGramMatchesMulTABits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range [][2]int{{1, 1}, {20, 30}, {20, 15}, {7, 40}, {90, 120}} {
+		a := RandomGaussian(shape[0], shape[1], rng)
+		for i, v := range a.data {
+			switch rng.Intn(6) {
+			case 0:
+				a.data[i] = 0
+			case 1:
+				a.data[i] = v * 1e-170
+			}
+		}
+		g, want := Gram(a), MulTA(a, a)
+		for i, v := range want.data {
+			if math.Float64bits(g.data[i]) != math.Float64bits(v) {
+				t.Fatalf("%dx%d: Gram entry %d = %v, MulTA %v", shape[0], shape[1], i, g.data[i], v)
+			}
+		}
+	}
+}
+
 func TestMulVecAndMulTVec(t *testing.T) {
 	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	x := []float64{1, 0, -1}

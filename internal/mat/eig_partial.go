@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // SymEigenPartial computes the k smallest eigenpairs of the symmetric
@@ -29,6 +30,8 @@ func SymEigenPartial(a *Dense, k int) Eigen { return SymEigenSmallest(a, k, nil)
 // Only the lower triangle of a is read; a is not modified. Eigenvalues
 // are returned ascending, with the matching orthonormal eigenvectors as
 // the columns of an n×m Vectors. pick must not modify its argument.
+// Below parallelThreshold the solve allocates only what it returns
+// (see SymEigen).
 func SymEigenSmallest(a *Dense, k int, pick func(vals []float64) int) Eigen {
 	n := a.Rows()
 	if a.Cols() != n {
@@ -38,19 +41,19 @@ func SymEigenSmallest(a *Dense, k int, pick func(vals []float64) int) Eigen {
 	if n == 0 || k <= 0 {
 		return Eigen{Values: []float64{}, Vectors: NewDense(n, 0)}
 	}
-	z := a.Clone()
-	z.Symmetrize()
-	d := make([]float64, n)
-	e := make([]float64, n)
-	hs := make([]float64, n)
-	tred1(z, d, e, hs)
+	w := getEigWork(n)
+	defer eigPool.Put(w)
+	copy(w.z.data, a.data)
+	w.z.Symmetrize()
+	tred1(&w.z, w.d, w.e, w.hs)
 	var vals []float64
 	if 2*k <= n {
-		vals = bisectSmallest(d, e, k)
+		vals = bisectSmallest(w.d, w.e, k)
 	} else {
 		// tqli overwrites its tridiagonal; inverse iteration needs it.
-		vals = append([]float64(nil), d...)
-		tqli(vals, append([]float64(nil), e...), nil)
+		vals = append([]float64(nil), w.d...)
+		copy(w.g, w.e)
+		tqli(vals, w.g, nil, w.rots)
 		sort.Float64s(vals)
 		vals = vals[:k]
 	}
@@ -59,8 +62,8 @@ func SymEigenSmallest(a *Dense, k int, pick func(vals []float64) int) Eigen {
 		m = max(0, min(pick(vals), k))
 	}
 	vecs := NewDense(n, m)
-	inverseIterate(d, e, vals[:m], vecs)
-	backTransform(z, hs, vecs)
+	w.inverseIterate(vals[:m], vecs)
+	backTransform(&w.z, w.hs, vecs, w.v)
 	return Eigen{Values: vals, Vectors: vecs}
 }
 
@@ -100,16 +103,8 @@ func tred1(z *Dense, d, e, hs []float64) {
 				// order only — the same symv as tred2 minus the column
 				// write that fed the (here absent) accumulation pass.
 				lim := l + 1
-				Parallel(lim, lim*lim, func(lo, hi int) {
-					for j := lo; j < hi; j++ {
-						zj := z.Row(j)
-						g := 0.0
-						for k := 0; k <= l; k++ {
-							g += zj[k] * zi[k]
-						}
-						e[j] = g / h
-					}
-				})
+				r := reflection{z: z, zi: zi, e: e, i: i, l: l, h: h}
+				runRows(lim, lim*lim, r, symvRows)
 				f = 0.0
 				for j := 0; j <= l; j++ {
 					f += e[j] * zi[j]
@@ -120,17 +115,8 @@ func tred1(z *Dense, d, e, hs []float64) {
 				}
 				// Rank-two update A ← A − v wᵀ − w vᵀ, full rows of the
 				// active block so the mirror symmetry the symv relies on
-				// is preserved exactly (see tred2).
-				Parallel(lim, lim*lim, func(lo, hi int) {
-					for j := lo; j < hi; j++ {
-						fj := zi[j]
-						gj := e[j]
-						zj := z.Row(j)
-						for k := 0; k <= l; k++ {
-							zj[k] -= fj*e[k] + gj*zi[k]
-						}
-					}
-				})
+				// is preserved exactly (see rankTwoRows).
+				runRows(lim, lim*lim, r, rankTwoRows)
 			}
 		} else {
 			e[i] = zi[l]
@@ -157,6 +143,7 @@ func sturmCount(d, e []float64, x, pivmin float64) int {
 	if q < 0 {
 		count++
 	}
+	e = e[:len(d)]
 	for i := 1; i < len(d); i++ {
 		den := q
 		if math.Abs(den) < pivmin {
@@ -233,12 +220,13 @@ func bisectSmallest(d, e []float64, k int) []float64 {
 }
 
 // inverseIterate fills column j of vecs with a unit eigenvector of the
-// tridiagonal (d, e) for eigenvalue vals[j]. Eigenvalues closer than a
-// cluster threshold share (numerically) one invariant subspace, so
+// tridiagonal (w.d, w.e) for eigenvalue vals[j]. Eigenvalues closer than
+// a cluster threshold share (numerically) one invariant subspace, so
 // their shifts are spread apart by a small separation and each iterate
 // is orthogonalized against the cluster members already computed — the
 // standard inverse-iteration treatment of repeated eigenvalues.
-func inverseIterate(d, e []float64, vals []float64, vecs *Dense) {
+func (w *eigWork) inverseIterate(vals []float64, vecs *Dense) {
+	d, e, v, sol := w.d, w.e, w.v, &w.sol
 	n := len(d)
 	norm := tridiagNorm(d, e)
 	eps := 2.3e-16
@@ -253,9 +241,7 @@ func inverseIterate(d, e []float64, vals []float64, vecs *Dense) {
 	// The start vectors only need to avoid being orthogonal to the
 	// target eigenvector; a fixed-seed stream keeps the solver a pure
 	// function of its input.
-	rng := rand.New(rand.NewSource(0x5e1ec7ed))
-	sol := newTridiagSolver(n)
-	v := make([]float64, n)
+	rng := startStream{table: startTable()}
 	clusterStart := 0
 	shift := math.Inf(-1)
 	for j := range vals {
@@ -301,6 +287,55 @@ func inverseIterate(d, e []float64, vals []float64, vecs *Dense) {
 	}
 }
 
+// startSeed seeds the stream inverse iteration draws its start vectors
+// from.
+const startSeed = 0x5e1ec7ed
+
+// startTableLen is how many draws of the start stream are kept. A solve
+// draws n per vector it computes (and n more per restart): the table
+// holds the eigengap's few vectors of a 30-vertex Phase 1 graph many
+// times over, or 15 vectors at n = 270. A longer stream stays exact: it
+// seeds a source and replays the table's draws to continue past it.
+const startTableLen = 1 << 12
+
+// startTable is the head of the start stream,
+// rand.New(rand.NewSource(startSeed)).Float64() draw by draw, drawn
+// once. Seeding a math/rand source fills a 607-word table, which every
+// solve used to pay for to replay these same values.
+var startTable = sync.OnceValue(func() []float64 {
+	rng := rand.New(rand.NewSource(startSeed))
+	t := make([]float64, startTableLen)
+	for i := range t {
+		t[i] = rng.Float64()
+	}
+	return t
+})
+
+// startStream replays the start stream from its first draw: from the
+// table, then, past its end, from a fresh source advanced to the same
+// position, so every draw is the one a fresh source would give.
+type startStream struct {
+	table []float64
+	pos   int
+	rng   *rand.Rand
+}
+
+// Float64 returns the stream's next draw.
+func (s *startStream) Float64() float64 {
+	if s.pos < len(s.table) {
+		s.pos++
+		return s.table[s.pos-1]
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(startSeed))
+		for range s.pos {
+			s.rng.Float64()
+		}
+	}
+	s.pos++
+	return s.rng.Float64()
+}
+
 // tridiagSolver is the LU factorization of (T − λI) with partial
 // pivoting, reusable across the iterations of one eigenvalue. Pivoting
 // fills in a second superdiagonal, the classic tinvit shape.
@@ -309,14 +344,10 @@ type tridiagSolver struct {
 	swapped         []bool
 }
 
-func newTridiagSolver(n int) *tridiagSolver {
-	return &tridiagSolver{
-		u:       make([]float64, n),
-		v1:      make([]float64, n),
-		v2:      make([]float64, n),
-		mult:    make([]float64, n),
-		swapped: make([]bool, n),
-	}
+// resize sizes s for order n, reusing its storage.
+func (s *tridiagSolver) resize(n int) {
+	s.u, s.v1, s.v2, s.mult = zeroed(s.u, n), zeroed(s.v1, n), zeroed(s.v2, n), zeroed(s.mult, n)
+	s.swapped = zeroed(s.swapped, n)
 }
 
 // factor computes the pivoted elimination of T − λI; near-zero pivots
@@ -386,28 +417,39 @@ func (s *tridiagSolver) solve(b []float64) {
 // coordinates by applying the stored Householder reflectors P_i = I −
 // u uᵀ/h ascending (Q = P_{n−1}⋯P_2 applied to v is P_2 v first), each
 // supported on [0..i−1]. Cost O(n²k) against the O(n³) accumulation the
-// full solver pays for all n vectors.
-func backTransform(z *Dense, hs []float64, vecs *Dense) {
+// full solver pays for all n vectors. col is scratch of length n for the
+// inline branch; each worker of the parallel one allocates its own.
+func backTransform(z *Dense, hs []float64, vecs *Dense, col []float64) {
 	n, k := vecs.Dims()
+	if inline(k, n*n*k) {
+		reflectCols(z, hs, vecs, col, 0, k)
+		return
+	}
 	Parallel(k, n*n*k, func(lo, hi int) {
-		col := make([]float64, n)
-		for j := lo; j < hi; j++ {
-			vecs.Col(j, col)
-			for i := 2; i < n; i++ {
-				if hs[i] == 0 { //fedsc:allow floatcmp tred1 writes an exact 0 to mark a skipped reflector
-					continue
-				}
-				ui := z.Row(i)
-				s := 0.0
-				for t := 0; t < i; t++ {
-					s += ui[t] * col[t]
-				}
-				s /= hs[i]
-				for t := 0; t < i; t++ {
-					col[t] -= s * ui[t]
-				}
-			}
-			vecs.SetCol(j, col)
-		}
+		reflectCols(z, hs, vecs, make([]float64, n), lo, hi)
 	})
+}
+
+// reflectCols applies the stored reflectors to columns [lo, hi) of vecs,
+// one column at a time through col.
+func reflectCols(z *Dense, hs []float64, vecs *Dense, col []float64, lo, hi int) {
+	n := len(col)
+	for j := lo; j < hi; j++ {
+		vecs.Col(j, col)
+		for i := 2; i < n; i++ {
+			if hs[i] == 0 { //fedsc:allow floatcmp tred1 writes an exact 0 to mark a skipped reflector
+				continue
+			}
+			ui, c := z.Row(i)[:i], col[:i]
+			s := 0.0
+			for t, u := range ui {
+				s += u * c[t]
+			}
+			s /= hs[i]
+			for t, u := range ui {
+				c[t] -= s * u
+			}
+		}
+		vecs.SetCol(j, col)
+	}
 }

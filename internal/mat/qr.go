@@ -51,21 +51,7 @@ func QRFactor(a *Dense) QR {
 		// Apply the reflector to the trailing columns; each trailing
 		// column is updated independently, so the loop blocks across
 		// workers for wide factorizations.
-		tk := tau[k]
-		Parallel(n-k-1, (n-k)*(m-k)*2, func(lo, hi int) {
-			for j := k + 1 + lo; j < k+1+hi; j++ {
-				wj := wt.Row(j)
-				s := wj[k]
-				for i := k + 1; i < m; i++ {
-					s += wk[i] * wj[i]
-				}
-				s *= tk
-				wj[k] -= s
-				for i := k + 1; i < m; i++ {
-					wj[i] -= s * wk[i]
-				}
-			}
-		})
+		runRows(n-k-1, (n-k)*(m-k)*2, householder{wt, wk, tau[k], k, k + 1}, reflectRows)
 	}
 	// Extract R.
 	r := NewDense(n, n)
@@ -85,24 +71,35 @@ func QRFactor(a *Dense) QR {
 		if tau[k] == 0 { //fedsc:allow floatcmp tau=0 is the exact identity-reflector sentinel written above
 			continue
 		}
-		wk := wt.Row(k)
-		tk := tau[k]
-		Parallel(n, n*(m-k)*2, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				qj := qt.Row(j)
-				s := qj[k]
-				for i := k + 1; i < m; i++ {
-					s += wk[i] * qj[i]
-				}
-				s *= tk
-				qj[k] -= s
-				for i := k + 1; i < m; i++ {
-					qj[i] -= s * wk[i]
-				}
-			}
-		})
+		runRows(n, n*(m-k)*2, householder{qt, wt.Row(k), tau[k], k, 0}, reflectRows)
 	}
 	return QR{Q: qt.T(), R: r}
+}
+
+// householder carries reflector k (vector w, below its unit entry k,
+// and scalar tau) to reflectRows, which applies it to rows off+lo ..
+// off+hi−1 of dst, each row one transposed column.
+type householder struct {
+	dst    *Dense
+	w      []float64
+	tau    float64
+	k, off int
+}
+
+func reflectRows(h householder, lo, hi int) {
+	wk, k, m := h.w, h.k, len(h.w)
+	for j := h.off + lo; j < h.off+hi; j++ {
+		wj := h.dst.Row(j)
+		s := wj[k]
+		for i := k + 1; i < m; i++ {
+			s += wk[i] * wj[i]
+		}
+		s *= h.tau
+		wj[k] -= s
+		for i := k + 1; i < m; i++ {
+			wj[i] -= s * wk[i]
+		}
+	}
 }
 
 // Orthonormalize returns a matrix with orthonormal columns spanning the

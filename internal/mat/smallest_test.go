@@ -232,3 +232,67 @@ func FuzzSymEigenSmallest(f *testing.F) {
 		}
 	})
 }
+
+// TestEigensolversAllocateOnlyTheirResults: at n = 30 every kernel runs
+// inline and the working storage comes from the pool, so a solve
+// allocates only what it returns. SymEigen returns Values and a Dense
+// (header and data); SymEigenSmallest the same, from bisection when
+// 2k ≤ n and from a copy of the QL values otherwise. The race detector
+// makes sync.Pool drop entries at random, so the bound holds only in a
+// normal build.
+func TestEigensolversAllocateOnlyTheirResults(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	g := RandomGaussian(30, 30, rand.New(rand.NewSource(43)))
+	a := MulTA(g, g)
+	pick := func(vals []float64) int { return 3 }
+	for name, solve := range map[string]func(){
+		"SymEigen":                 func() { SymEigen(a) },
+		"SymEigenSmallest k=10":    func() { SymEigenSmallest(a, 10, pick) },
+		"SymEigenSmallest k=20":    func() { SymEigenSmallest(a, 20, pick) },
+		"SymEigenPartial k=30":     func() { SymEigenPartial(a, 30) },
+		"SymEigenSmallest k=0 n=0": func() { SymEigenSmallest(NewDense(0, 0), 0, nil) },
+	} {
+		if n := testing.AllocsPerRun(20, solve); n > 3 {
+			t.Errorf("%s at n=30 makes %v allocations, want ≤ 3 (its results)", name, n)
+		}
+	}
+}
+
+// TestStartStreamReplaysFixedSeed: inverse iteration's start vectors are
+// the draws of rand.New(rand.NewSource(startSeed)).Float64(), in order,
+// whether they come from the shared table or, past its end, from a
+// source advanced to the same position; concurrent readers each see the
+// whole stream.
+func TestStartStreamReplaysFixedSeed(t *testing.T) {
+	const draws = startTableLen + 300
+	ref := rand.New(rand.NewSource(0x5e1ec7ed))
+	want := make([]float64, draws)
+	for i := range want {
+		want[i] = ref.Float64()
+	}
+	check := func() error {
+		s := startStream{table: startTable()}
+		for i, w := range want {
+			if got := s.Float64(); got != w {
+				return fmt.Errorf("draw %d = %v, want %v", i, got, w)
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, 4)
+	for range cap(errs) {
+		go func() { errs <- check() }()
+	}
+	for range cap(errs) {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A stream that starts past the table advances a fresh source.
+	s := startStream{table: startTable(), pos: startTableLen + 7}
+	if got := s.Float64(); got != want[startTableLen+7] {
+		t.Fatalf("draw %d past the table = %v, want %v", startTableLen+7, got, want[startTableLen+7])
+	}
+}

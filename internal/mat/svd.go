@@ -227,24 +227,30 @@ func TruncatedSVD(a *Dense, k int) (u *Dense, s []float64) {
 // is factorized once and the result is bit-identical to TruncatedSVD.
 func TruncatedSVDPick(a *Dense, pick func(sigma []float64) int) (*Dense, []float64) {
 	m, n := a.Dims()
-	var eig Eigen
-	var gram *Eigen
+	r := min(m, n)
+	w := getEigWork(r)
+	defer eigPool.Put(w)
 	if n <= m {
-		eig = SymEigen(Gram(a))
-		gram = &eig
+		gramInto(&w.z, a)
 	} else {
-		eig = SymEigen(MulBT(a, a))
+		mulBTInto(&w.z, a, a)
 	}
-	sigma := make([]float64, len(eig.Values))
-	for i, v := range eig.Values {
-		sigma[len(sigma)-1-i] = math.Sqrt(math.Max(v, 0))
+	w.symEigen()
+	sigma := make([]float64, r)
+	for i, j := range w.idx {
+		sigma[r-1-i] = math.Sqrt(math.Max(w.d[j], 0))
+	}
+	gram := w
+	if n > m {
+		gram = nil // a wide a takes its factors from Jacobi
 	}
 	return truncatedSVD(a, pick(sigma), gram)
 }
 
 // truncatedSVD is TruncatedSVD with gram, when non-nil, the
-// eigendecomposition of Gram(a) already in hand for the exact path.
-func truncatedSVD(a *Dense, k int, gram *Eigen) (*Dense, []float64) {
+// eigendecomposition of Gram(a) already in hand for the exact path (as
+// eigWork.symEigen leaves it).
+func truncatedSVD(a *Dense, k int, gram *eigWork) (*Dense, []float64) {
 	m, n := a.Dims()
 	r := min(m, n)
 	k = min(k, r)
@@ -258,20 +264,23 @@ func truncatedSVD(a *Dense, k int, gram *Eigen) (*Dense, []float64) {
 		// Eigendecomposition of the n x n Gram matrix: a = U S Vᵀ with
 		// aᵀa = V S² Vᵀ, U = a V S⁻¹.
 		if gram == nil {
-			eig := SymEigen(Gram(a))
-			gram = &eig
+			gram = getEigWork(n)
+			defer eigPool.Put(gram)
+			gramInto(&gram.z, a)
+			gram.symEigen()
 		}
 		idx := make([]int, 0, k)
 		vals := make([]float64, 0, k)
 		for i := n - 1; i >= 0 && len(idx) < k; i-- { // largest first
-			idx = append(idx, i)
-			ev := gram.Values[i]
+			j := gram.idx[i]
+			idx = append(idx, j)
+			ev := gram.d[j]
 			if ev < 0 {
 				ev = 0
 			}
 			vals = append(vals, math.Sqrt(ev))
 		}
-		v := gram.Vectors.SelectCols(idx)
+		v := gram.z.SelectCols(idx)
 		u := Mul(a, v)
 		// Normalize the columns of U in one pass over the matrix instead
 		// of a per-column extract/normalize/write round trip.

@@ -1,12 +1,22 @@
 package privacy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PackedLen returns the number of bytes Pack produces for count values:
 // count*Bits bits rounded up to a whole byte. This is the §IV-E uplink
-// payload size for one device's samples at the configured rate.
+// payload size for one device's samples at the configured rate. count
+// must be at most MaxCount, or the bit count overflows.
 func (q Quantizer) PackedLen(count int) int {
 	return (count*q.Bits + 7) / 8
+}
+
+// MaxCount is the largest value count whose packed length PackedLen can
+// compute: count·Bits + 7 must fit an int. The quantizer must be valid.
+func (q Quantizer) MaxCount() int {
+	return (math.MaxInt - 7) / q.Bits
 }
 
 // Pack encodes each value to its level index and concatenates the
@@ -49,6 +59,9 @@ func (q Quantizer) Unpack(packed []byte, count int) ([]float64, error) {
 	}
 	if count < 0 {
 		return nil, fmt.Errorf("privacy: unpack count %d negative", count)
+	}
+	if count > q.MaxCount() {
+		return nil, fmt.Errorf("privacy: unpack count %d at %d bits overflows the packed length", count, q.Bits)
 	}
 	if want := q.PackedLen(count); len(packed) != want {
 		return nil, fmt.Errorf("privacy: unpack: %d bytes for %d values at %d bits, want %d",

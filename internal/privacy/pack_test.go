@@ -1,23 +1,32 @@
 package privacy
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// packCase draws one roundtrip case from seed: a quantizer of 1 to 32
+// bits and up to 39 values in [-1, 1).
+func packCase(seed int64) (Quantizer, []float64) {
+	r := rand.New(rand.NewSource(seed))
+	bits := 1 + r.Intn(32)
+	q := Quantizer{Bits: bits}
+	n := r.Intn(40)
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 2*r.Float64() - 1
+	}
+	return q, vals
+}
+
 func TestPackUnpackRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		bits := 1 + r.Intn(32)
-		q := Quantizer{Bits: bits}
-		n := r.Intn(40)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = 2*r.Float64() - 1
-		}
+		q, vals := packCase(seed)
+		n := len(vals)
 		packed, err := q.Pack(vals)
 		if err != nil {
 			return false
@@ -41,6 +50,85 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wrapCount is the count whose bit count at 8 bits is exactly 2^(int
+// size), so count·8 + 7 wraps to 7 and PackedLen to 0.
+const wrapCount = math.MaxInt>>2 + 1
+
+// TestUnpackRefusesOverflowingCount: a count whose packed length wraps
+// to 0 used to pass the length check with an empty stream and panic in
+// the allocation of count values.
+func TestUnpackRefusesOverflowingCount(t *testing.T) {
+	q := Quantizer{Bits: 8}
+	if _, err := q.Unpack(nil, wrapCount); err == nil {
+		t.Fatal("count overflowing the packed length accepted")
+	}
+	if _, err := q.Unpack(nil, q.MaxCount()+1); err == nil {
+		t.Fatal("count past MaxCount accepted")
+	}
+	for _, bits := range []int{1, 8, 32} {
+		q := Quantizer{Bits: bits}
+		if got := q.PackedLen(q.MaxCount()); got <= 0 {
+			t.Fatalf("PackedLen(MaxCount) at %d bits = %d, want positive", bits, got)
+		}
+	}
+}
+
+// TestValidateRejectsUnrepresentableRange: a range whose doubled width
+// overflows decoded every index to +Inf, and one whose cells underflow
+// decoded them all to -Max, so Unpack accepted streams it could not
+// reproduce.
+func TestValidateRejectsUnrepresentableRange(t *testing.T) {
+	for _, m := range []float64{math.NaN(), math.Inf(1), 1e308, 5e-324} {
+		q := Quantizer{Bits: 8, Max: m}
+		if err := q.Validate(); err == nil {
+			t.Errorf("Max %g accepted", m)
+		}
+		if _, err := q.Unpack([]byte{5}, 1); err == nil {
+			t.Errorf("Unpack at Max %g accepted", m)
+		}
+	}
+	for _, m := range []float64{0, -1, math.Inf(-1), 1, math.MaxFloat64 / 2, 0x1p-1015} {
+		if err := (Quantizer{Bits: 8, Max: m}).Validate(); err != nil {
+			t.Errorf("Max %g refused: %v", m, err)
+		}
+	}
+}
+
+// FuzzUnpack feeds arbitrary streams, counts and quantizers to Unpack:
+// it must not panic, a success must yield count values, and those
+// values must pack back to the very bytes they came from.
+func FuzzUnpack(f *testing.F) {
+	seeds := rand.New(rand.NewSource(301))
+	for range 16 {
+		q, vals := packCase(seeds.Int63())
+		packed, err := q.Pack(vals)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(q.Bits, q.Max, packed, len(vals))
+	}
+	f.Add(8, 0.0, []byte{}, wrapCount)
+	f.Add(8, 1e308, []byte{5}, 1)
+	f.Add(8, 5e-324, []byte{5}, 1)
+	f.Fuzz(func(t *testing.T, bits int, max float64, packed []byte, count int) {
+		q := Quantizer{Bits: bits, Max: max}
+		got, err := q.Unpack(packed, count)
+		if err != nil {
+			return
+		}
+		if len(got) != count {
+			t.Fatalf("Unpack returned %d values for count %d", len(got), count)
+		}
+		again, err := q.Pack(got)
+		if err != nil {
+			t.Fatalf("Pack refused what Unpack accepted: %v", err)
+		}
+		if !bytes.Equal(again, packed) {
+			t.Fatalf("repacked % x, want % x", again, packed)
+		}
+	})
 }
 
 func TestPackDeterministic(t *testing.T) {

@@ -28,10 +28,17 @@ func (q Quantizer) rng() float64 {
 	return q.Max
 }
 
-// Validate reports whether the quantizer is usable.
+// Validate reports whether the quantizer is usable: Bits in [1, 32] and
+// a range whose cells decode to distinct finite centers. A Max so large
+// that 2·Max overflows decodes every index to +Inf, and one so small
+// that a cell is narrower than the smallest normal float decodes every
+// index to the same value; neither survives a Pack/Unpack roundtrip.
 func (q Quantizer) Validate() error {
 	if q.Bits < 1 || q.Bits > 32 {
 		return fmt.Errorf("privacy: quantizer bits %d outside [1,32]", q.Bits)
+	}
+	if m := q.rng(); !(m <= math.MaxFloat64/2) || 2*m/float64(q.levels()) < 0x1p-1022 {
+		return fmt.Errorf("privacy: quantizer range %g has no representable %d-bit cells", q.Max, q.Bits)
 	}
 	return nil
 }

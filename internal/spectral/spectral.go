@@ -6,6 +6,8 @@ package spectral
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"fedsc/internal/kmeans"
 	"fedsc/internal/mat"
@@ -32,7 +34,9 @@ func LaplacianEigs(w *sparse.CSR, k int, rng *rand.Rand) ([]float64, *mat.Dense)
 	}
 	m := normalizedAffinity(w)
 	if n <= denseEigCutoff {
-		dense := denseLaplacian(m)
+		buf := laplacianPool.Get().(*[]float64)
+		defer laplacianPool.Put(buf)
+		dense := denseLaplacian(m, buf)
 		// Embeddings want k ≪ n eigenpairs; the partial solver skips the
 		// full solver's transform accumulation and QL sweep in that
 		// regime. Eigengap estimation asks for k ≈ n, where extracting
@@ -89,10 +93,19 @@ func normalizedAffinity(w *sparse.CSR) *sparse.CSR {
 	return w.DiagScale(dinv, dinv)
 }
 
-// denseLaplacian returns L = I − m for the normalized affinity m.
-func denseLaplacian(m *sparse.CSR) *mat.Dense {
+// laplacianPool holds the storage of dense Laplacians: the eigensolvers
+// copy their input and keep none of it, so one buffer serves every solve
+// of a worker.
+var laplacianPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// denseLaplacian returns L = I − m for the normalized affinity m, stored
+// in buf (taken from laplacianPool), which the caller returns to the
+// pool once L has been read.
+func denseLaplacian(m *sparse.CSR, buf *[]float64) *mat.Dense {
 	n, _ := m.Dims()
-	dense := mat.NewDense(n, n)
+	*buf = slices.Grow((*buf)[:0], n*n)[:n*n]
+	clear(*buf)
+	dense := mat.NewDenseData(n, n, *buf)
 	for i := 0; i < n; i++ {
 		dense.Set(i, i, 1)
 		m.Row(i, func(j int, v float64) {
@@ -192,7 +205,9 @@ func EstimateAndCluster(w *sparse.CSR, maxK int, rng *rand.Rand) (int, []int) {
 	var r int
 	var emb *mat.Dense
 	if n <= denseEigCutoff {
-		eig := mat.SymEigenSmallest(denseLaplacian(normalizedAffinity(w)), limit+1, func(vals []float64) int {
+		buf := laplacianPool.Get().(*[]float64)
+		defer laplacianPool.Put(buf)
+		eig := mat.SymEigenSmallest(denseLaplacian(normalizedAffinity(w), buf), limit+1, func(vals []float64) int {
 			// Clamp a copy: inverse iteration shifts by the raw values.
 			r = scoreEigengap(clampEigs(append([]float64(nil), vals...)), limit)
 			return r

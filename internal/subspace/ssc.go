@@ -49,13 +49,18 @@ func (o SSCOptions) withDefaults() SSCOptions {
 // paper) for every column of x and returns the coefficient rows (coef[i]
 // is the representation of point i over the other points, with
 // coef[i][i] = 0). One Gram matrix is shared across all N subproblems and
-// the per-point solves run in parallel.
+// the per-point solves run in parallel; the LARS solves write their rows
+// into one n×n block.
 func SSCCoefficients(x *mat.Dense, opts SSCOptions) [][]float64 {
 	opts = opts.withDefaults()
 	xn := normalized(x)
 	_, n := xn.Dims()
 	g := mat.Gram(xn)
 	coef := make([][]float64, n)
+	block := make([]float64, n*n)
+	for i := range coef {
+		coef[i] = block[i*n : (i+1)*n : (i+1)*n]
+	}
 	var admm *lasso.ADMMSolver
 	if opts.Which == SolverADMM {
 		admm = lasso.NewADMMSolver(g, lasso.ADMMOptions{})
@@ -66,14 +71,13 @@ func SSCCoefficients(x *mat.Dense, opts SSCOptions) [][]float64 {
 			self := []int{i}
 			mu := lasso.MaxCorrelation(b, self)
 			if mu == 0 { //fedsc:allow floatcmp max |correlation| is exactly zero iff the point is exactly orthogonal to all others
-				coef[i] = make([]float64, n)
 				continue
 			}
 			lam := mu / opts.Alpha
 			if opts.Which == SolverADMM {
 				coef[i] = admm.Solve(b, lam, self)
 			} else {
-				coef[i] = lasso.Gram(g, b, lam, 0, self)
+				lasso.GramInto(coef[i], g, b, lam, 0, self)
 			}
 		}
 	})

@@ -14,6 +14,8 @@ package subspace
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"fedsc/internal/mat"
 	"fedsc/internal/sparse"
@@ -87,23 +89,42 @@ func AffinityFromCoefficients(coef [][]float64, dropTol float64) *sparse.CSR {
 	return affinityFromCoef(coef, dropTol)
 }
 
+// tripletPool holds the coordinate buffers of affinityFromCoef.
+var tripletPool = sync.Pool{New: func() any { return new([]sparse.Coord) }}
+
 // affinityFromCoef assembles the SSC-style affinity W = |C| + |C|ᵀ from
 // per-point coefficient vectors, dropping entries below dropTol to keep
 // the graph sparse. coef[i] is the self-expression for point i.
+// The triplets are counted first and collected in a pooled buffer of at
+// least that size, which NewCSR copies out of, rather than in a slice
+// grown by append on every call.
 func affinityFromCoef(coef [][]float64, dropTol float64) *sparse.CSR {
 	n := len(coef)
-	var entries []sparse.Coord
+	keep := func(i, j int, v float64) bool { return !(math.Abs(v) <= dropTol || i == j) }
+	count := 0
 	for i, c := range coef {
 		for j, v := range c {
-			a := math.Abs(v)
-			if a <= dropTol || i == j {
+			if keep(i, j, v) {
+				count += 2
+			}
+		}
+	}
+	buf := tripletPool.Get().(*[]sparse.Coord)
+	entries := slices.Grow((*buf)[:0], count)
+	for i, c := range coef {
+		for j, v := range c {
+			if !keep(i, j, v) {
 				continue
 			}
+			a := math.Abs(v)
 			entries = append(entries, sparse.Coord{Row: i, Col: j, Val: a})
 			entries = append(entries, sparse.Coord{Row: j, Col: i, Val: a})
 		}
 	}
-	return sparse.NewCSR(n, n, entries)
+	w := sparse.NewCSR(n, n, entries)
+	*buf = entries
+	tripletPool.Put(buf)
+	return w
 }
 
 // spectralLabels segments an affinity graph into k clusters.
